@@ -11,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/g-rpqs/rlc-go/internal/bench"
 )
 
 // cliTools lists every command with the one-line synopsis its -h output (and
@@ -60,6 +62,14 @@ func TestCLIUsageConformance(t *testing.T) {
 		}
 		if !strings.Contains(text, "flags:") {
 			t.Errorf("%s -h lacks the flag list:\n%s", tool, text)
+		}
+
+		if tool == "rlcbench" {
+			for _, id := range bench.IDs() {
+				if !regexp.MustCompile(`\b` + regexp.QuoteMeta(id) + `\b`).MatchString(text) {
+					t.Errorf("rlcbench -h does not list experiment %q:\n%s", id, text)
+				}
+			}
 		}
 
 		out, err = exec.Command(bin, "-no-such-flag").CombinedOutput()

@@ -29,7 +29,7 @@ const synopsis = "rlcbench — reproduce the paper's experimental tables and fig
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table3..5, fig3..7, ablation, batch, pbuild, serve, ingest) or \"all\"")
+		exp      = flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(bench.IDs(), ", ")+") or \"all\"")
 		scale    = flag.Float64("scale", 0, "dataset replica scale (0 = default)")
 		maxV     = flag.Int("max-vertices", 0, "replica vertex cap (0 = default)")
 		queries  = flag.Int("queries", 0, "queries per true/false set (0 = default)")

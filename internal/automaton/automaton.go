@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync/atomic"
 
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
@@ -77,6 +78,9 @@ type NFA struct {
 	// Automata built here have at most 63 states (enforced by Compile).
 	step []uint64
 	expr Expr
+	// rev caches Reverse: an NFA is immutable once built, so its reverse
+	// is computed at most once and shared by every backward search.
+	rev atomic.Pointer[NFA]
 }
 
 // MaxStates bounds the automaton size so state sets fit one uint64 word.
@@ -225,8 +229,17 @@ func (n *NFA) ReverseState(q State) State {
 // the original accept state, and its accept at the original start state.
 // Backward searches (and the backward half of BiBFS) run on the reverse.
 // State q of the original corresponds to state ReverseState(q) of the
-// result.
+// result. The reverse is built on first use and cached; callers share it
+// and must not modify it.
 func (n *NFA) Reverse() *NFA {
+	if r := n.rev.Load(); r != nil {
+		return r
+	}
+	n.rev.CompareAndSwap(nil, n.reverse())
+	return n.rev.Load()
+}
+
+func (n *NFA) reverse() *NFA {
 	r := &NFA{
 		numStates: n.numStates,
 		numLabels: n.numLabels,

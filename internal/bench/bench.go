@@ -221,6 +221,15 @@ func Experiments() []Experiment {
 	}
 }
 
+// IDs returns the id of every registered experiment, in registry order.
+func IDs() []string {
+	var ids []string
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
+	}
+	return ids
+}
+
 // ByID returns the experiment with the given id.
 func ByID(id string) (Experiment, error) {
 	for _, e := range Experiments() {
@@ -228,10 +237,7 @@ func ByID(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	ids := make([]string, 0, len(Experiments()))
-	for _, e := range Experiments() {
-		ids = append(ids, e.ID)
-	}
+	ids := IDs()
 	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (want one of %s, or \"all\")", id, strings.Join(ids, ", "))
 }

@@ -42,16 +42,19 @@ type BuildStats struct {
 	// scheduler dispatched.
 	Windows int64
 	// Speculated counts speculative KBS-pair executions on the workers.
-	// Invalidated speculations are retried, so this can exceed the vertex
-	// count; the excess is the wasted (parallel) work.
+	// A speculation whose commit-time replay diverges is re-speculated,
+	// so this can exceed the vertex count; the excess is the wasted
+	// (parallel) work.
 	Speculated int64
 	// Committed counts speculations whose buffered inserts were replayed
-	// onto the live index unchanged (snapshot validation and the
-	// commit-time PR1/PR2/dup re-checks all passed). Committed plus Rerun
-	// equals the vertex count.
+	// onto the live index unchanged: every commit-time PR2/PR1/dup
+	// re-check of an insert still inserted. Committed plus Rerun equals
+	// the vertex count.
 	Committed int64
 	// Rerun counts vertices re-run sequentially at their commit slot
-	// because speculation was invalidated twice in a row.
+	// because their replay diverged twice in a row. A retry runs at the
+	// commit frontier against the live index, so this stays zero unless
+	// the scheduler's exactness argument breaks.
 	Rerun int64
 }
 
@@ -222,8 +225,8 @@ const (
 )
 
 // side distinguishes the two entry-list families of a vertex for the
-// parallel build's read/write tracking: a backward KBS writes Lout lists
-// and reads Lin(src); a forward KBS is the mirror image.
+// parallel build's insert overlay: a backward KBS writes Lout lists and
+// reads Lin(src); a forward KBS is the mirror image.
 type side uint8
 
 const (

@@ -81,14 +81,6 @@ type builder struct {
 	stamp   uint32
 	bfsQ    []kbsNode
 
-	// Commit-side write tracking (parallel builds only): every append to
-	// out[y]/in[y] stamps the list with the current round, so the
-	// scheduler can invalidate speculations that read it. Nil on the
-	// sequential path.
-	dirtyOut   []uint64
-	dirtyIn    []uint64
-	dirtyStamp uint64
-
 	// Speculation state (parallel build workers only, see scheduler.go).
 	spec *specScratch
 
@@ -222,8 +214,7 @@ func (b *builder) kbs(src graph.Vertex, dir direction) {
 // commit replay) issues: Lin(src) for backward searches, Lout(src) for
 // forward ones. Neither list changes while the KBS runs, so (mr, hub)
 // membership is captured once. A speculating builder additionally layers in
-// its own buffered inserts at src and records the read for commit-time
-// validation.
+// its own buffered inserts at src.
 func (b *builder) loadFixedSet(src graph.Vertex, dir direction) {
 	clear(b.fixedSet)
 	var fixed []entry
@@ -236,7 +227,6 @@ func (b *builder) loadFixedSet(src graph.Vertex, dir direction) {
 		b.fixedSet[fixedKey(e.mr, e.hub)] = struct{}{}
 	}
 	if sc := b.spec; sc != nil {
-		sc.recordRead(src, fixedSide(dir))
 		rank := b.ix.rank[src]
 		for idx := sc.overlayHead(src, fixedSide(dir)); idx >= 0; idx = sc.ovNext[idx] {
 			b.fixedSet[fixedKey(sc.cur.inserts[idx].mrID, rank)] = struct{}{}
@@ -425,9 +415,9 @@ func (b *builder) insert(y, src graph.Vertex, dir direction, mr labelseq.Seq, mr
 //
 // On a speculating builder the decision additionally covers the
 // speculation's own buffered inserts (in the sequential build those are
-// already in y's list), the read of y's list is recorded for commit-time
-// validation, and a successful insert is buffered instead of applied — the
-// dictionary and the canonical lists are never touched by a worker.
+// already in y's list), and a successful insert is buffered instead of
+// applied — the dictionary and the canonical lists are never touched by a
+// worker.
 func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq, mrCode labelseq.Code) insertStatus {
 	ix := b.ix
 	// PR2: skip entries at vertices with a strictly smaller rank than the
@@ -441,9 +431,6 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 		yList = b.out[y]
 	} else {
 		yList = b.in[y]
-	}
-	if b.spec != nil {
-		b.spec.recordRead(y, ySide(dir))
 	}
 
 	id := b.lookupCode(mrCode)
@@ -492,14 +479,8 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 	e := entry{hub: ix.rank[src], mr: id}
 	if dir == backward {
 		b.out[y] = append(b.out[y], e)
-		if b.dirtyOut != nil {
-			b.dirtyOut[y] = b.dirtyStamp
-		}
 	} else {
 		b.in[y] = append(b.in[y], e)
-		if b.dirtyIn != nil {
-			b.dirtyIn[y] = b.dirtyStamp
-		}
 	}
 	return inserted
 }

@@ -20,40 +20,20 @@ type undoRec struct {
 	dir direction
 }
 
-// validate reports whether a speculation's trajectory is still exact: true
-// iff none of the entry lists it read were appended to by a commit at or
-// after its snapshot round. The trajectory of a KBS pair is a deterministic
-// function of the graph, the ranks, and the lists it read — if those lists
-// are untouched, the sequential build arriving at this commit slot would
-// visit the same states, issue the same insert attempts, and take the same
-// prune decisions.
+// apply replays a speculation's buffered inserts onto the live index in
+// trajectory order, re-running the full PR2/PR1/dup checks against the
+// live lists and interning minimum repeats in exactly the order the
+// sequential build would. It reports whether the speculation committed.
 //
-// (Dictionary growth since the snapshot is harmless and not tracked: a
-// code interned after the snapshot can only change an insert's PR1/dup
-// outcome through entries that carry its ID, and such entries live only in
-// lists stamped dirty since the snapshot.)
-func (c *committer) validate(r *specResult, snap uint64) bool {
-	b := c.b
-	for _, pr := range r.reads {
-		v := graph.Vertex(pr >> 1)
-		if side(pr&1) == outSide {
-			if b.dirtyOut[v] >= snap {
-				return false
-			}
-		} else if b.dirtyIn[v] >= snap {
-			return false
-		}
-	}
-	return true
-}
-
-// apply replays a validated speculation's buffered inserts onto the live
-// index in trajectory order, re-running the full PR2/PR1/dup checks against
-// the live lists and interning minimum repeats in exactly the order the
-// sequential build would. For a validated speculation every re-check
-// resolves to inserted; should one diverge regardless, the replay is undone
-// entry by entry — including the dictionary interns — and apply returns
-// false so the scheduler falls back to the sequential re-run.
+// Success alone proves the trajectory exact. The live lists only ever grew
+// since the speculation's snapshot, and the prune predicates are monotone
+// in them, so every decision that pruned against the snapshot prunes live
+// as well; the re-checks here cover every decision that inserted. When all
+// of them still insert, the sequential build at this commit slot would have
+// taken the same decisions in the same order (scheduler.go spells out the
+// argument). When one prunes instead, the replay is undone entry by entry —
+// including the dictionary interns — and apply returns false so the
+// scheduler re-speculates the vertex at the commit frontier.
 func (c *committer) apply(r *specResult) bool {
 	b := c.b
 	c.undo = c.undo[:0]
@@ -79,8 +59,7 @@ func (c *committer) apply(r *specResult) bool {
 
 // rollback undoes the current replay: appended entries are truncated off
 // their lists in reverse order and the dictionary is cut back to its length
-// at replay start. Dirty stamps set by the undone appends are left in place
-// — over-invalidation only costs a re-run, never correctness.
+// at replay start.
 func (c *committer) rollback(dictLen0 int) {
 	b := c.b
 	for i := len(c.undo) - 1; i >= 0; i-- {

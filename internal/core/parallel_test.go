@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/g-rpqs/rlc-go/internal/gen"
 	"github.com/g-rpqs/rlc-go/internal/graph"
+	"github.com/g-rpqs/rlc-go/internal/labelseq"
 	"github.com/g-rpqs/rlc-go/internal/traversal"
 )
 
@@ -161,6 +163,98 @@ func TestParallelBuildPruningAblations(t *testing.T) {
 		if !bytes.Equal(serialize(t, parIx), seqBytes) {
 			t.Errorf("opts %+v: parallel build diverged from sequential", opts)
 		}
+	}
+}
+
+// TestParallelBuildWasteBound pins the commit rule: a speculation commits
+// whenever its replay's re-checks pass, so only speculations whose own
+// inserts became prunable are re-run. Rejecting every speculation whose
+// reads were merely appended to wastes well over half a speculation per
+// vertex on this graph.
+func TestParallelBuildWasteBound(t *testing.T) {
+	g, err := gen.ER(400, 1600, 4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(g.NumVertices())
+	for _, workers := range []int{2, 4} {
+		_, st, err := BuildWithStats(g, Options{K: 2, BuildWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := n + n/10; st.Speculated > limit {
+			t.Errorf("workers=%d: Speculated = %d for %d vertices, want <= %d",
+				workers, st.Speculated, n, limit)
+		}
+		if st.Rerun != 0 {
+			t.Errorf("workers=%d: Rerun = %d, want 0", workers, st.Rerun)
+		}
+	}
+}
+
+// TestCommitterApplyRollback drives committer.apply directly: an entry
+// committed to a live list after the speculation's snapshot makes the
+// second buffered insert prune, so the replay must report failure and
+// restore both entry lists and the dictionary — including the minimum
+// repeat that the aborted replay interned first.
+func TestCommitterApplyRollback(t *testing.T) {
+	g := graph.Fig2()
+	ix := &Index{g: g, k: 2, order: accessOrder(g, OrderNatural), rank: make([]int32, g.NumVertices())}
+	for r, v := range ix.order {
+		ix.rank[v] = int32(r)
+	}
+	var err error
+	if ix.dict, err = labelseq.NewDict(g.NumLabels(), ix.k); err != nil {
+		t.Fatal(err)
+	}
+	b := newBuilder(ix)
+	c := &committer{b: b}
+	coder := ix.dict.Coder()
+
+	const src, y1, y2 = graph.Vertex(0), graph.Vertex(1), graph.Vertex(2)
+	known := labelseq.Seq{0}    // interned before the snapshot
+	fresh := labelseq.Seq{1, 0} // first interned by the replay
+	knownID := ix.dict.Intern(known)
+	b.in[y1] = append(b.in[y1], entry{hub: ix.rank[3], mr: knownID})
+
+	// The speculation: forward KBS from src inserts fresh into Lin(y1),
+	// then known into Lin(y2), both against the snapshot above.
+	sc := newSpecScratch(g.NumVertices())
+	sc.reset(ix.dict.Len())
+	sc.bufferInsert(y1, forward, fresh, coder.Encode(fresh), labelseq.InvalidID)
+	sc.bufferInsert(y2, forward, known, coder.Encode(known), knownID)
+	res := sc.cur
+	res.v = src
+
+	// After the snapshot a commit lands (src, known) in Lin(y2): the
+	// second insert now prunes by PR1.
+	b.in[y2] = append(b.in[y2], entry{hub: ix.rank[src], mr: knownID})
+	dictLen := ix.dict.Len()
+
+	if c.apply(&res) {
+		t.Fatal("apply committed a replay whose second insert prunes against the live lists")
+	}
+	if got := ix.dict.Len(); got != dictLen {
+		t.Errorf("dict.Len() = %d after rollback, want %d", got, dictLen)
+	}
+	if id := ix.dict.LookupCode(coder.Encode(fresh)); id != labelseq.InvalidID {
+		t.Errorf("aborted replay left %v interned as %d", fresh, id)
+	}
+	if want := []entry{{hub: ix.rank[3], mr: knownID}}; !slices.Equal(b.in[y1], want) {
+		t.Errorf("Lin(y1) = %v after rollback, want %v", b.in[y1], want)
+	}
+	if want := []entry{{hub: ix.rank[src], mr: knownID}}; !slices.Equal(b.in[y2], want) {
+		t.Errorf("Lin(y2) = %v after rollback, want %v", b.in[y2], want)
+	}
+
+	// Without the late commit the same replay goes through.
+	b.in[y2] = b.in[y2][:0]
+	if !c.apply(&res) {
+		t.Fatal("apply rejected a replay whose inserts all still insert")
+	}
+	if len(b.in[y1]) != 2 || len(b.in[y2]) != 1 || ix.dict.Len() != dictLen+1 {
+		t.Errorf("after commit: |Lin(y1)| = %d, |Lin(y2)| = %d, dict.Len() = %d; want 2, 1, %d",
+			len(b.in[y1]), len(b.in[y2]), ix.dict.Len(), dictLen+1)
 	}
 }
 

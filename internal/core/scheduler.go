@@ -8,23 +8,31 @@
 //  1. Workers run the backward+forward KBS pair of the next `window`
 //     uncommitted vertices (in rank order) concurrently against a snapshot
 //     — the canonical lists as committed by earlier rounds — buffering
-//     successful inserts in worker-local state and recording every
-//     (vertex, side) entry list the trajectory read.
+//     successful inserts in worker-local state.
 //  2. The committer then advances the commit frontier in strict rank
-//     order. A speculation whose recorded reads were all untouched since
-//     its snapshot followed the exact trajectory the sequential build
-//     would have taken, so its buffered inserts are replayed onto the live
-//     index (re-running the full PR1/PR2/dup checks, see commit.go). The
-//     first stale speculation stops the round: it is thrown away and
+//     order, replaying each speculation's buffered inserts onto the live
+//     index with the full PR2/PR1/dup re-checks (see commit.go). The first
+//     replay that diverges stops the round: it is rolled back and
 //     re-speculated next round, where it sits at the commit frontier —
-//     nothing can commit before it — so the retry always validates and
-//     the expensive KBS work stays on the worker pool. Only a speculation
-//     that fails twice falls back to a sequential re-run at its commit
-//     slot; speculations beyond the stop point are kept and re-validated
-//     when the frontier reaches them.
+//     its snapshot then equals the live index, so the retry always
+//     commits and the expensive KBS work stays on the worker pool. Only a
+//     speculation that fails twice falls back to a sequential re-run at
+//     its commit slot; speculations beyond the stop point are kept and
+//     replayed when the frontier reaches them.
 //
-// Every commit path reproduces the sequential insert sequence exactly — by
-// induction over commit slots the entry lists, the dictionary interning
+// Why a successful replay is exact. During a build the entry lists are
+// append-only and dictionary IDs never change, so the live lists at commit
+// time are a superset of the snapshot a speculation read. Every prune
+// predicate is monotone in those lists: PR2 depends on ranks alone, and
+// PR1 and the dup check ask whether some entry is present. A decision that
+// pruned against the snapshot therefore still prunes against the live
+// lists, and needs no re-check. The replay re-checks every decision that
+// inserted, in trajectory order; if all of them still insert, every
+// decision of the trajectory — and with it every PR3 cut of the kernel-BFS
+// — is the one the sequential build would take at this commit slot.
+//
+// Every commit path thus reproduces the sequential insert sequence exactly —
+// by induction over commit slots the entry lists, the dictionary interning
 // order, and hence the frozen CSR layout and the serialized v1 bytes are
 // byte-identical to the sequential build for every worker count. Worker
 // timing can never leak into the result: it only shifts which speculations
@@ -46,7 +54,7 @@ import (
 
 // maxWindowPerWorker caps how far ahead of the committed index the workers
 // may speculate: staleness grows with the window, and with it the fraction
-// of speculations invalidated at commit time.
+// of speculations whose replay diverges at commit time.
 const maxWindowPerWorker = 64
 
 // specInsert is one buffered successful insert of a speculation, in
@@ -64,11 +72,10 @@ type specInsert struct {
 	dir    direction
 }
 
-// specResult is the outcome of one vertex's speculative KBS pair: the reads
-// to validate, the inserts to replay, and the trajectory's counters.
+// specResult is the outcome of one vertex's speculative KBS pair: the
+// inserts to replay and the trajectory's counters.
 type specResult struct {
 	v       graph.Vertex
-	reads   []uint64 // packed (vertex << 1 | side), deduplicated
 	inserts []specInsert
 	arena   []labelseq.Label // backing store for the inserts' minimum repeats
 	stats   BuildStats
@@ -80,10 +87,6 @@ type specResult struct {
 // scheduler per speculation.
 type specScratch struct {
 	stamp uint32
-
-	// Read dedup: (vertex, side) pairs already recorded this speculation.
-	readSeenOut []uint32
-	readSeenIn  []uint32
 
 	// Overlay index over cur.inserts: for each (vertex, side), the chain
 	// of buffered inserts targeting that list. ovHead holds the latest
@@ -105,13 +108,11 @@ type specScratch struct {
 
 func newSpecScratch(n int) *specScratch {
 	return &specScratch{
-		readSeenOut: make([]uint32, n),
-		readSeenIn:  make([]uint32, n),
-		ovStampOut:  make([]uint32, n),
-		ovStampIn:   make([]uint32, n),
-		ovHeadOut:   make([]int32, n),
-		ovHeadIn:    make([]int32, n),
-		shadow:      make(map[labelseq.Code]labelseq.ID),
+		ovStampOut: make([]uint32, n),
+		ovStampIn:  make([]uint32, n),
+		ovHeadOut:  make([]int32, n),
+		ovHeadIn:   make([]int32, n),
+		shadow:     make(map[labelseq.Code]labelseq.ID),
 	}
 }
 
@@ -120,8 +121,6 @@ func newSpecScratch(n int) *specScratch {
 func (sc *specScratch) reset(dictLen int) {
 	sc.stamp++
 	if sc.stamp == 0 {
-		clear(sc.readSeenOut)
-		clear(sc.readSeenIn)
 		clear(sc.ovStampOut)
 		clear(sc.ovStampIn)
 		sc.stamp = 1
@@ -130,20 +129,6 @@ func (sc *specScratch) reset(dictLen int) {
 	sc.dictBase = labelseq.ID(dictLen)
 	sc.ovNext = sc.ovNext[:0]
 	sc.cur = specResult{}
-}
-
-// recordRead notes that the speculation's trajectory depends on the current
-// contents of one entry list.
-func (sc *specScratch) recordRead(v graph.Vertex, s side) {
-	seen := sc.readSeenOut
-	if s == inSide {
-		seen = sc.readSeenIn
-	}
-	if seen[v] == sc.stamp {
-		return
-	}
-	seen[v] = sc.stamp
-	sc.cur.reads = append(sc.cur.reads, uint64(uint32(v))<<1|uint64(s))
 }
 
 // overlayHead returns the index (into cur.inserts) of the latest buffered
@@ -250,11 +235,9 @@ func (b *builder) speculate(v graph.Vertex) specResult {
 }
 
 // pendingSpec is the scheduler's slot for one rank position: the latest
-// speculation for it (if any), the round it snapshotted, and how often a
-// commit attempt found it stale.
+// speculation for it (if any) and how often its replay diverged.
 type pendingSpec struct {
 	res     specResult
-	snap    uint64 // round stamp the speculation ran under
 	retries uint8
 	have    bool
 }
@@ -264,9 +247,6 @@ type pendingSpec struct {
 // compact and is the only builder that ever mutates them or the dictionary.
 func runParallelBuild(ix *Index, b *builder, workers int) {
 	n := ix.g.NumVertices()
-	b.dirtyOut = make([]uint64, n)
-	b.dirtyIn = make([]uint64, n)
-
 	ws := make([]*builder, workers)
 	for i := range ws {
 		ws[i] = newSpecBuilder(b)
@@ -283,7 +263,6 @@ func runParallelBuild(ix *Index, b *builder, workers int) {
 		if end > n {
 			end = n
 		}
-		b.dirtyStamp++ // the new round's stamp
 
 		// Speculation phase: workers claim the positions in
 		// [head, end) that have no carried-over speculation. The
@@ -300,7 +279,6 @@ func runParallelBuild(ix *Index, b *builder, workers int) {
 			// goroutine barrier.
 			p := toSpec[0]
 			specs[p].res = ws[0].speculate(ix.order[p])
-			specs[p].snap = b.dirtyStamp
 			specs[p].have = true
 		} else {
 			var cursor atomic.Int64
@@ -316,7 +294,6 @@ func runParallelBuild(ix *Index, b *builder, workers int) {
 						}
 						p := toSpec[i]
 						specs[p].res = w.speculate(ix.order[p])
-						specs[p].snap = b.dirtyStamp
 						specs[p].have = true
 					}
 				}(w)
@@ -326,12 +303,10 @@ func runParallelBuild(ix *Index, b *builder, workers int) {
 		b.stats.Speculated += int64(len(toSpec))
 
 		// Commit phase: advance the frontier in strict rank order.
-		// Every commit stamps the lists it appends to, which is what
-		// invalidates later speculations that read them.
 		committed := 0
 		for head < end {
 			s := &specs[head]
-			if c.validate(&s.res, s.snap) && c.apply(&s.res) {
+			if c.apply(&s.res) {
 				b.stats.addAlgo(s.res.stats)
 				b.stats.Committed++
 			} else if s.retries > 0 {
@@ -341,10 +316,10 @@ func runParallelBuild(ix *Index, b *builder, workers int) {
 				b.kbs(s.res.v, forward)
 				b.stats.Rerun++
 			} else {
-				// Stale: throw the trajectory away and stop the
-				// round. Next round re-speculates this vertex at
-				// the commit frontier, where the retry is
-				// guaranteed to validate; the speculations beyond
+				// Diverged: throw the trajectory away and stop
+				// the round. Next round re-speculates this vertex
+				// at the commit frontier, where the retry is
+				// guaranteed to commit; the speculations beyond
 				// it stay pending.
 				s.retries++
 				s.have = false

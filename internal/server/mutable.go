@@ -245,10 +245,14 @@ func (s *Server) installFolded(ix *core.Index, src *core.Snapshot, folded int, s
 	return len(tail), epoch, nil
 }
 
-// finishRebuild records fold telemetry and fires the OnRebuild callback.
+// finishRebuild records fold telemetry and fires the OnRebuild callback. A
+// no-op fold (empty journal, no error) keeps the previous fold's duration,
+// so LastRebuildMicros always describes a fold that did work.
 func (s *Server) finishRebuild(res *RebuildResult, start time.Time, err error) {
 	res.Duration = time.Since(start)
-	s.lastRebuildUS.Store(res.Duration.Microseconds())
+	if res.Folded > 0 || err != nil {
+		s.lastRebuildUS.Store(res.Duration.Microseconds())
+	}
 	msg := ""
 	if err != nil {
 		msg = err.Error()

@@ -228,6 +228,33 @@ func TestRebuildEndpoint(t *testing.T) {
 	}
 }
 
+// TestNoOpFoldKeepsLastRebuildMicros: a fold of an empty journal must not
+// overwrite the duration of the last fold that did work.
+func TestNoOpFoldKeepsLastRebuildMicros(t *testing.T) {
+	g := graph.Fig2()
+	s, hts := newTestServer(t, buildIndex(t, g), Options{Mutable: true, RebuildThreshold: -1})
+	if code := postJSON(t, hts.URL+"/update",
+		`{"edges":[{"s":"v1","l":"l1","t":"v4"},{"s":"v6","l":"l2","t":"v1"}]}`, nil); code != http.StatusOK {
+		t.Fatalf("update status %d", code)
+	}
+	res, err := s.Rebuild()
+	if err != nil || res.Folded != 2 {
+		t.Fatalf("fold: %+v, %v", res, err)
+	}
+	folded := s.MutableStats().LastRebuildMicros
+	if want := float64(res.Duration.Microseconds()); folded != want {
+		t.Fatalf("LastRebuildMicros = %v after the fold, want %v", folded, want)
+	}
+
+	res, err = s.Rebuild()
+	if err != nil || res.Folded != 0 {
+		t.Fatalf("no-op fold: %+v, %v", res, err)
+	}
+	if got := s.MutableStats().LastRebuildMicros; got != folded {
+		t.Errorf("LastRebuildMicros = %v after a no-op fold, want %v (the real fold's)", got, folded)
+	}
+}
+
 // TestRebuildWritesBundle: with RebuildPath set, a fold writes a fresh v2
 // bundle, swaps the server onto the mapped file, and the bundle re-opens
 // and verifies standalone with the folded answer baked in.

@@ -802,8 +802,9 @@ type MutableStats struct {
 	Journal int `json:"journal"`
 	// Writes counts accepted edge inserts across all epochs.
 	Writes uint64 `json:"writes"`
-	// LastRebuildMicros is the duration of the most recent fold (0 before
-	// the first).
+	// LastRebuildMicros is the duration of the most recent fold that
+	// folded edges or failed (0 before the first); no-op folds of an empty
+	// journal leave it unchanged.
 	LastRebuildMicros float64 `json:"last_rebuild_micros,omitempty"`
 	// LastRebuildError is the most recent fold failure ("" when the last
 	// fold succeeded).

@@ -22,11 +22,16 @@ type Evaluator struct {
 
 	// Epoch-stamped visited marks, indexed v*numStates+q. A slot is
 	// visited in the current query iff it holds the current stamp.
-	stamp    uint32
-	fwdSeen  []uint32
-	bwdSeen  []uint32
-	frontier []node
-	next     []node
+	stamp   uint32
+	fwdSeen []uint32
+	bwdSeen []uint32
+
+	// Frontier buffers, reused across levels and queries: the forward
+	// pair serves BFS and BiBFS, the backward pair BiBFS.
+	frontier    []node
+	next        []node
+	bwdFrontier []node
+	bwdNext     []node
 
 	// LastVisited reports how many product nodes the previous call
 	// explored — useful when comparing traversal effort to index lookups.
@@ -104,8 +109,8 @@ func (e *Evaluator) BiBFS(s, t graph.Vertex, nfa *automaton.NFA) bool {
 	// Backward frontier nodes and marks both use ORIGINAL state ids, so a
 	// meet is a simple same-slot test; expandBackward translates to the
 	// reverse automaton's ids only when stepping.
-	fwd := []node{{s, 0}}
-	bwd := []node{{t, nfa.Accept()}}
+	e.frontier = append(e.frontier[:0], node{s, 0})
+	e.bwdFrontier = append(e.bwdFrontier[:0], node{t, nfa.Accept()})
 	e.mark(e.fwdSeen, ns, node{s, 0})
 	e.mark(e.bwdSeen, ns, node{t, nfa.Accept()})
 
@@ -113,27 +118,23 @@ func (e *Evaluator) BiBFS(s, t graph.Vertex, nfa *automaton.NFA) bool {
 	// automaton accepts the empty word — our expressions never do (every
 	// segment consumes at least one label), so no special case is needed.
 
-	for len(fwd) > 0 && len(bwd) > 0 {
-		if len(fwd) <= len(bwd) {
-			var met bool
-			fwd, met = e.expandForward(fwd, nfa, ns)
-			if met {
+	for len(e.frontier) > 0 && len(e.bwdFrontier) > 0 {
+		if len(e.frontier) <= len(e.bwdFrontier) {
+			if e.expandForward(nfa, ns) {
 				return true
 			}
-		} else {
-			var met bool
-			bwd, met = e.expandBackward(bwd, nfa, rev, ns)
-			if met {
-				return true
-			}
+		} else if e.expandBackward(nfa, rev, ns) {
+			return true
 		}
 	}
 	return false
 }
 
-func (e *Evaluator) expandForward(frontier []node, nfa *automaton.NFA, ns int) ([]node, bool) {
-	var next []node
-	for _, nd := range frontier {
+// expandForward advances the forward frontier by one level, reporting
+// whether it met the backward search.
+func (e *Evaluator) expandForward(nfa *automaton.NFA, ns int) bool {
+	e.next = e.next[:0]
+	for _, nd := range e.frontier {
 		dsts, lbls := e.g.OutEdges(nd.v)
 		for i := range dsts {
 			targets := nfa.Step(nd.q, lbls[i])
@@ -143,19 +144,22 @@ func (e *Evaluator) expandForward(frontier []node, nfa *automaton.NFA, ns int) (
 					continue
 				}
 				if e.seen(e.bwdSeen, ns, nn) {
-					return nil, true
+					return true
 				}
 				e.mark(e.fwdSeen, ns, nn)
-				next = append(next, nn)
+				e.next = append(e.next, nn)
 			}
 		}
 	}
-	return next, false
+	e.frontier, e.next = e.next, e.frontier
+	return false
 }
 
-func (e *Evaluator) expandBackward(frontier []node, nfa *automaton.NFA, rev *automaton.NFA, ns int) ([]node, bool) {
-	var next []node
-	for _, nd := range frontier {
+// expandBackward is expandForward's mirror over in-edges and the reverse
+// automaton.
+func (e *Evaluator) expandBackward(nfa *automaton.NFA, rev *automaton.NFA, ns int) bool {
+	e.bwdNext = e.bwdNext[:0]
+	for _, nd := range e.bwdFrontier {
 		// nd.q is an ORIGINAL state id; the reverse automaton steps on
 		// the corresponding reverse id.
 		rq := nfa.ReverseState(nd.q)
@@ -169,14 +173,15 @@ func (e *Evaluator) expandBackward(frontier []node, nfa *automaton.NFA, rev *aut
 					continue
 				}
 				if e.seen(e.fwdSeen, ns, nn) {
-					return nil, true
+					return true
 				}
 				e.mark(e.bwdSeen, ns, nn)
-				next = append(next, nn)
+				e.bwdNext = append(e.bwdNext, nn)
 			}
 		}
 	}
-	return next, false
+	e.bwdFrontier, e.bwdNext = e.bwdNext, e.bwdFrontier
+	return false
 }
 
 // DFS reports whether some path from s to t matches the automaton, using a

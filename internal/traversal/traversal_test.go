@@ -330,3 +330,37 @@ func TestEvaluatorReuseAcrossQueries(t *testing.T) {
 		t.Error("LastVisited should be positive after a query")
 	}
 }
+
+// TestBiBFSWarmAllocs pins the frontier reuse: once an evaluator has run a
+// query, further BiBFS calls under the same automaton allocate nothing.
+func TestBiBFSWarmAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	g := randomGraph(r, 300, 2, 1200)
+	nfa, err := automaton.NewPlus(labelseq.Seq{0, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEvaluator(g)
+	pairs := make([][2]graph.Vertex, 64)
+	for i := range pairs {
+		pairs[i] = [2]graph.Vertex{graph.Vertex(r.Intn(300)), graph.Vertex(r.Intn(300))}
+	}
+	var hits int
+	for _, p := range pairs { // warm the buffers to their high-water mark
+		if e.BiBFS(p[0], p[1], nfa) {
+			hits++
+		}
+	}
+	if hits == 0 || hits == len(pairs) {
+		t.Fatalf("%d/%d pairs reachable: want a mix of answers", hits, len(pairs))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		p := pairs[i%len(pairs)]
+		e.BiBFS(p[0], p[1], nfa)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("warm BiBFS allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -75,10 +75,8 @@ func main() {
 	fmt.Printf("entries:      %d (%d in, %d out)\n", st.Entries, st.InEntries, st.OutEntries)
 	fmt.Printf("distinct MRs: %d\n", st.DistinctMRs)
 	fmt.Printf("size:         %.2f MB\n", float64(st.SizeBytes)/(1024*1024))
-	if ix.Packed() {
-		fmt.Printf("packed:       %.2f MB (%d groups, %d hash-consed sets, %d pool words, bit-parallel membership)\n",
-			float64(st.Packed.SizeBytes)/(1024*1024), st.Packed.Groups, st.Packed.Sets, st.Packed.PoolWords)
-	}
+	fmt.Printf("packed:       %.2f MB (%d groups, %d hash-consed sets, %d pool words, bit-parallel membership)\n",
+		float64(st.Packed.SizeBytes)/(1024*1024), st.Packed.Groups, st.Packed.Sets, st.Packed.PoolWords)
 	if ix.Tiered() {
 		ts := st.Tiers
 		fmt.Printf("tiers:        budget %d B: %d exact vertices, %d filtered (%.2f MB filters, %d union sets, %d bloom bits per filter)\n",

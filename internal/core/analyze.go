@@ -29,7 +29,7 @@ func (ix *Index) EntryDistribution() Distribution {
 	n := ix.g.NumVertices()
 	counts := make([]int, 0, n)
 	for v := graph.Vertex(0); int(v) < n; v++ {
-		if c := len(ix.lin(v)) + len(ix.lout(v)); c > 0 {
+		if c := int(ix.inOff[v+1] - ix.inOff[v] + ix.outOff[v+1] - ix.outOff[v]); c > 0 {
 			counts = append(counts, c)
 		}
 	}

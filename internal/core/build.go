@@ -146,16 +146,14 @@ func BuildWithStats(g *graph.Graph, opts Options) (*Index, BuildStats, error) {
 	if err := ix.freeze(b.out, b.in); err != nil {
 		return nil, b.stats, err
 	}
-	if !opts.DisablePacked {
-		if err := ix.pack(); err != nil {
-			return nil, b.stats, err
-		}
-	}
-	// Size budgeting runs last, over the frozen (and packed) index: it
-	// truncates demoted lists and re-derives the packed form, so a budget
-	// the full index fits leaves everything bit-identical to an unbudgeted
-	// build.
+	// Size budgeting runs over the frozen entries and truncates demoted
+	// lists; packing comes last so the packed form always mirrors the
+	// retained entries. A budget the full index fits leaves everything
+	// bit-identical to an unbudgeted build.
 	if err := ix.tier(); err != nil {
+		return nil, b.stats, err
+	}
+	if err := ix.pack(); err != nil {
 		return nil, b.stats, err
 	}
 	return ix, b.stats, nil

@@ -73,13 +73,6 @@ type Options struct {
 	DisablePR2 bool
 	DisablePR3 bool
 
-	// DisablePacked skips deriving the bit-parallel packed MR-set form
-	// after the build freezes (see packed.go), leaving queries on the
-	// linear-scan entry path and WriteSnapshot without packed sections.
-	// Answers are identical either way; the flag exists for the packed/scan
-	// differential tests and the bench baseline.
-	DisablePacked bool
-
 	// MaxIndexBytes caps the index size (same accounting as SizeBytes; 0 =
 	// unlimited). When the full index exceeds it, the builder keeps complete
 	// entry lists only for the access-order prefix that fits and demotes
@@ -131,9 +124,8 @@ type Index struct {
 	outOff  []int32 // len n+1; Lout(v) = entries[outOff[v]:outOff[v+1]]
 	inOff   []int32 // len n+1; Lin(v)  = entries[inOff[v]:inOff[v+1]]
 
-	// packed, when non-nil, is the bit-parallel hash-consed form of the
-	// entry lists (packed.go); queryByID answers from it and falls back to
-	// the entry scan when absent.
+	// packed is the bit-parallel hash-consed form of the entry lists
+	// (packed.go) and the only form queries and probes read.
 	packed *packed
 
 	// tiers, when non-nil, marks a size-budgeted index (tiers.go): the
@@ -225,8 +217,7 @@ type Stats struct {
 	DistinctMRs int
 	SizeBytes   int64
 
-	// Packed summarizes the bit-parallel representation when present
-	// (Packed.Groups == 0 and Packed.Sets == 0 on an unpacked index).
+	// Packed summarizes the bit-parallel representation.
 	Packed PackedStats
 
 	// Tiers summarizes the size-budgeted filter tier when present (the
@@ -299,9 +290,12 @@ func (ix *Index) Query(s, t graph.Vertex, l labelseq.Seq) (bool, error) {
 }
 
 // QueryRLC is Query with a context, satisfying the facade's Querier
-// interface alongside the hybrid evaluator and the serving layer. An index
-// probe is two binary searches and a merge join — nanoseconds — so the
-// context is consulted once on entry, never mid-probe.
+// interface alongside the hybrid evaluator and the serving layer. The
+// context is consulted once on entry, never mid-query. On a complete index
+// that bounds the work, because a probe is two binary searches and a merge
+// join. On a size-budgeted index a query the filters cannot decide runs the
+// tier-3 fallback, a full bidirectional traversal that ignores the context
+// (honouring deadlines inside traversals is ROADMAP item 2).
 func (ix *Index) QueryRLC(ctx context.Context, s, t graph.Vertex, l labelseq.Seq) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
@@ -363,13 +357,13 @@ func (ix *Index) checkConstraint(l labelseq.Seq) error {
 	return nil
 }
 
-// queryByID is the hot path of Query and QueryBatch on the frozen CSR
-// layout: Case 2 (direct entries) then Case 1 (merge join). During
-// construction the equivalent PR1 check runs against the builder's mutable
-// per-vertex lists instead (see builder.insert). On a size-budgeted index,
-// queries touching a demoted vertex dispatch to the three-tier path
-// (tiers.go) instead; both endpoints retained stays the plain exact probe
-// (their lists are complete).
+// queryByID is the hot path of Query and QueryBatch: Case 2 (direct
+// groups) then Case 1 (merge join), on the packed form. During construction
+// the equivalent PR1 check runs against the builder's mutable per-vertex
+// lists instead (see builder.insert). On a size-budgeted index, queries
+// touching a demoted vertex dispatch to the three-tier path (tiers.go)
+// instead; both endpoints retained stays the plain exact probe (their lists
+// are complete).
 //
 //rlc:noalloc
 func (ix *Index) queryByID(s, t graph.Vertex, mr labelseq.ID) bool {
@@ -379,20 +373,13 @@ func (ix *Index) queryByID(s, t graph.Vertex, mr labelseq.ID) bool {
 		}
 		tr.exactHits.Add(1)
 	}
-	if ix.packed != nil {
-		return ix.queryPacked(s, t, mr)
-	}
-	outS, inT := ix.lout(s), ix.lin(t)
-	if hasEntry(outS, ix.rank[t], mr) || hasEntry(inT, ix.rank[s], mr) {
-		return true
-	}
-	return joinHas(outS, inT, mr)
+	return ix.queryPacked(s, t, mr)
 }
 
-// hasEntry reports whether list (sorted by hub) contains (hub, mr). The
-// binary search is spelled out rather than delegated to sort.Search so the
-// probe stays closure-free: this runs twice per query, and rlcvet's noalloc
-// check holds the whole chain to zero allocating operations.
+// hasEntry reports whether list (sorted by hub) contains (hub, mr) — the
+// entry-list membership test of the builder's PR1 check and of validate.
+// The binary search is spelled out rather than delegated to sort.Search so
+// it stays closure-free under rlcvet's noalloc check.
 //
 //rlc:noalloc
 func hasEntry(list []entry, hub int32, mr labelseq.ID) bool {
@@ -408,39 +395,6 @@ func hasEntry(list []entry, hub int32, mr labelseq.ID) bool {
 	for ; i < len(list) && list[i].hub == hub; i++ {
 		if list[i].mr == mr {
 			return true
-		}
-	}
-	return false
-}
-
-// joinHas merge-joins two hub-sorted entry lists and reports whether some
-// hub carries mr on both sides — Case 1 of Definition 4.
-//
-//rlc:noalloc
-func joinHas(a, b []entry, mr labelseq.ID) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].hub < b[j].hub:
-			i++
-		case a[i].hub > b[j].hub:
-			j++
-		default:
-			hub := a[i].hub
-			foundA, foundB := false, false
-			for ; i < len(a) && a[i].hub == hub; i++ {
-				if a[i].mr == mr {
-					foundA = true
-				}
-			}
-			for ; j < len(b) && b[j].hub == hub; j++ {
-				if b[j].mr == mr {
-					foundB = true
-				}
-			}
-			if foundA && foundB {
-				return true
-			}
 		}
 	}
 	return false

@@ -23,12 +23,13 @@ import (
 // distinct set is resident exactly once and a group references it by a
 // 4-byte id.
 //
-// The packed form is an accelerator, never the source of truth: the entry
-// array stays authoritative for serialization, inspection, and validation,
-// pack derives the packed form deterministically from it, and
-// verifyPacked re-checks bit-for-bit equality (Snapshot.Verify runs it, so
-// a bundle whose packed sections diverge from its entry array is rejected
-// as corrupt rather than silently answering from the wrong bits).
+// The packed form is the only form queries and probes read, but never the
+// source of truth: the entry array stays authoritative for serialization,
+// inspection, validation, and tier construction, pack derives the packed
+// form deterministically from it, and verifyPacked re-checks bit-for-bit
+// equality (Snapshot.Verify runs it, so a bundle whose packed sections
+// diverge from its entry array is rejected as corrupt rather than silently
+// answering from the wrong bits).
 
 // packedGroup is one (hub, MR-set) pair of a packed per-vertex list: the
 // hub's access rank plus the id of the hash-consed bitset holding every MR
@@ -151,9 +152,9 @@ func setWordsFor(dictLen int) int {
 // pack derives the packed form from the frozen entry array. It is
 // deterministic — vertices ascending, Lout before Lin, sets interned in
 // first-seen order — so equal entry arrays always produce byte-identical
-// packed sections (the packed golden test pins this). Called by Build and
-// the v1 loader unless Options.DisablePacked; snapshot opens adopt the
-// bundle's packed sections instead.
+// packed sections (the packed golden test pins this). Called by Build, the
+// v1 loader, and OpenSnapshot on bundles written before the packed form;
+// other snapshot opens adopt the bundle's packed sections instead.
 func (ix *Index) pack() error {
 	n := ix.g.NumVertices()
 	w := setWordsFor(ix.dict.Len())
@@ -226,15 +227,8 @@ func (ix *Index) pack() error {
 }
 
 // VerifyPacked is the exported face of verifyPacked for inspection tools
-// that replicate Snapshot.Verify's integrity pass piecewise (rlcinspect);
-// nil on an unpacked index.
+// that replicate Snapshot.Verify's integrity pass piecewise (rlcinspect).
 func (ix *Index) VerifyPacked() error { return ix.verifyPacked() }
-
-// Packed reports whether the index carries the bit-parallel packed form
-// (built in-process or adopted from a bundle's packed sections). When
-// false, queries answer from the linear-scan entry path — same answers,
-// measured slower on repeat-heavy lists.
-func (ix *Index) Packed() bool { return ix.packed != nil }
 
 // PackedStats summarizes the packed representation for reporting.
 type PackedStats struct {
@@ -245,20 +239,16 @@ type PackedStats struct {
 	Sets int
 	// PoolWords is the total 64-bit words across every set's stored window.
 	PoolWords int64
-	// SizeBytes estimates the resident size of a packed-only index:
+	// SizeBytes estimates the resident size of the packed form alone:
 	// groups, descriptors, pool words, packed offsets, and the shared
-	// dictionary — the counterpart of Stats.SizeBytes for the scan
-	// representation.
+	// dictionary — the counterpart of Stats.SizeBytes for the entry
+	// array.
 	SizeBytes int64
 }
 
-// PackedStats returns the packed representation's summary; the zero value
-// when the index is unpacked.
+// PackedStats returns the packed representation's summary.
 func (ix *Index) PackedStats() PackedStats {
 	p := ix.packed
-	if p == nil {
-		return PackedStats{}
-	}
 	size := int64(len(p.groups))*8 + int64(len(p.desc))*12 + int64(len(p.words))*8 +
 		int64(len(p.outOff)+len(p.inOff))*4
 	for i := 0; i < ix.dict.Len(); i++ {
@@ -276,14 +266,11 @@ func (ix *Index) PackedStats() PackedStats {
 // and demands bit-for-bit equality with the entry array: identical hub
 // sequences, every entry's MR bit set, and per-group popcounts equal to the
 // run lengths (so the packed side holds no extra bits either).
-// Snapshot.Verify runs this whenever a bundle carries packed sections —
-// checksums catch flipped bits, this catches internally consistent packed
-// sections that simply disagree with the entries they claim to accelerate.
+// Snapshot.Verify runs this on every bundle — checksums catch flipped
+// bits, this catches internally consistent packed sections that simply
+// disagree with the entries they claim to mirror.
 func (ix *Index) verifyPacked() error {
 	p := ix.packed
-	if p == nil {
-		return nil
-	}
 	n := ix.g.NumVertices()
 	check := func(what string, list []entry, groups []packedGroup, v int) error {
 		gi := 0

@@ -17,13 +17,14 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/traversal"
 )
 
-// TestPackedBuildDefaults pins the representation switch: Build derives the
-// packed form unless DisablePacked, and both forms report coherent stats.
+// TestPackedBuildDefaults pins the packed form of a fresh build: Build
+// derives it, and it reports coherent stats and verifies against the
+// entries it mirrors.
 func TestPackedBuildDefaults(t *testing.T) {
 	g := graph.Fig2()
 	ix := mustBuild(t, g, Options{K: 2})
-	if !ix.Packed() {
-		t.Fatal("default Build did not pack")
+	if ix.packed == nil {
+		t.Fatal("Build did not pack")
 	}
 	st := ix.Stats()
 	if st.Packed.Groups == 0 || st.Packed.Sets == 0 || st.Packed.PoolWords < 1 {
@@ -35,12 +36,56 @@ func TestPackedBuildDefaults(t *testing.T) {
 	if err := ix.VerifyPacked(); err != nil {
 		t.Fatalf("fresh packed form fails self-verification: %v", err)
 	}
-	scan := mustBuild(t, g, Options{K: 2, DisablePacked: true})
-	if scan.Packed() {
-		t.Fatal("DisablePacked still packed")
+}
+
+// scanQuery is the entry-scan reference for the packed probe: Algorithm 1
+// answered straight from the authoritative entry lists — Case 2 by
+// hasEntry, Case 1 by a hub merge join that walks every run entry by entry.
+// It shares nothing with the packed form but the entries, so the
+// differential tests compare two independent readings of one index. Exact
+// only on an untiered index (demoted lists are truncated).
+func scanQuery(ix *Index, s, t graph.Vertex, mr labelseq.ID) bool {
+	a, b := ix.lout(s), ix.lin(t)
+	if hasEntry(a, ix.rank[t], mr) || hasEntry(b, ix.rank[s], mr) {
+		return true
 	}
-	if got := scan.Stats().Packed; got != (PackedStats{}) {
-		t.Fatalf("unpacked index reports packed stats %+v", got)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].hub < b[j].hub:
+			i++
+		case a[i].hub > b[j].hub:
+			j++
+		default:
+			hub := a[i].hub
+			foundA, foundB := false, false
+			for ; i < len(a) && a[i].hub == hub; i++ {
+				foundA = foundA || a[i].mr == mr
+			}
+			for ; j < len(b) && b[j].hub == hub; j++ {
+				foundB = foundB || b[j].mr == mr
+			}
+			if foundA && foundB {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// assertScanEquivalent checks the packed probe against scanQuery on every
+// (s, t) pair and every interned MR of ix.
+func assertScanEquivalent(t *testing.T, ix *Index) {
+	t.Helper()
+	n := ix.g.NumVertices()
+	for s := graph.Vertex(0); int(s) < n; s++ {
+		for d := graph.Vertex(0); int(d) < n; d++ {
+			for mr := labelseq.ID(0); int(mr) < ix.dict.Len(); mr++ {
+				if got, want := ix.queryByID(s, d, mr), scanQuery(ix, s, d, mr); got != want {
+					t.Fatalf("queryByID(%d, %d, mr %d) = %v, entry scan says %v", s, d, mr, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -65,22 +110,19 @@ func packedPropertyGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // TestPackedEquivalenceProperty: across the generator family, k 1..3, and
-// every build worker count, the packed index answers every (s, t, L) exactly
-// like the scan index, and both match the online traversal on a sample.
+// every build worker count, the packed probe answers every (s, t, MR) of the
+// index exactly like the entry-scan reference over the same index, and
+// matches the online traversal on a sample.
 func TestPackedEquivalenceProperty(t *testing.T) {
 	for name, g := range packedPropertyGraphs(t) {
 		for k := 1; k <= 3; k++ {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/k%d/w%d", name, k, workers), func(t *testing.T) {
 					packed := mustBuild(t, g, Options{K: k, BuildWorkers: workers})
-					scan := mustBuild(t, g, Options{K: k, BuildWorkers: workers, DisablePacked: true})
-					if !packed.Packed() || scan.Packed() {
-						t.Fatalf("representation flags wrong: packed=%v scan=%v", packed.Packed(), scan.Packed())
-					}
-					// Exhaustive packed == scan over every pair and constraint.
-					assertEquivalent(t, g, scan, packed)
+					// Exhaustive packed == entry scan over every pair and MR.
+					assertScanEquivalent(t, packed)
 					// Sampled equality against the traversal oracle ties both
-					// representations to ground truth.
+					// readings to ground truth.
 					r := rand.New(rand.NewSource(int64(k*10 + workers)))
 					constraints := PrimitiveConstraints(g.NumLabels(), k)
 					n := g.NumVertices()
@@ -128,6 +170,20 @@ func TestPackedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// packedSectionIDs lists the six sections of the packed block.
+var packedSectionIDs = []uint32{secPackedMeta, secPackedGroups, secPackedOutOff, secPackedInOff, secPackedSets, secPackedSetDesc}
+
+// stripPacked re-renders a bundle without its packed block — the format of
+// bundles written before the packed form.
+func stripPacked(t *testing.T, data []byte) []byte {
+	t.Helper()
+	return rebundle(t, data, func(s map[uint32][]byte) {
+		for _, id := range packedSectionIDs {
+			delete(s, id)
+		}
+	})
+}
+
 // packedSectionBytes concatenates the packed sections of a rendered bundle
 // as (id u32, length u64, payload) records — the byte image the golden test
 // pins.
@@ -139,7 +195,7 @@ func packedSectionBytes(t *testing.T, data []byte) []byte {
 	}
 	var out []byte
 	var tmp [8]byte
-	for _, id := range []uint32{secPackedMeta, secPackedGroups, secPackedOutOff, secPackedInOff, secPackedSets, secPackedSetDesc} {
+	for _, id := range packedSectionIDs {
 		b, ok := f.Section(id)
 		if !ok {
 			t.Fatalf("bundle missing packed section %d", id)
@@ -176,24 +232,15 @@ func TestGoldenPackedSections(t *testing.T) {
 	}
 }
 
-// TestPrePackedBundleBackCompat pins the upgrade story in both directions:
-// a bundle written without the packed form is exactly the old format (the
-// packed block changes nothing outside its own six sections), it still
-// opens, and it answers identically — just from the scan path.
+// TestPrePackedBundleBackCompat pins the upgrade story: a bundle without
+// the packed block differs from a current bundle only by those six
+// sections, still opens and verifies, packs on open, and answers
+// identically. Writing the opened index restores the full current bundle.
 func TestPrePackedBundleBackCompat(t *testing.T) {
 	g := graph.Fig2()
 	packedIx, packedData := bundleBytes(t, g, 2)
+	plainData := stripPacked(t, packedData)
 
-	plain := mustBuild(t, g, Options{K: 2, DisablePacked: true})
-	var buf bytes.Buffer
-	if err := plain.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	plainData := buf.Bytes()
-
-	// The unpacked bundle carries no packed sections; every section it does
-	// carry is byte-identical to the packed bundle's. Old readers therefore
-	// see exactly the bytes they always did.
 	pf, err := snapshot.OpenBytes(packedData)
 	if err != nil {
 		t.Fatal(err)
@@ -202,9 +249,9 @@ func TestPrePackedBundleBackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []uint32{secPackedMeta, secPackedGroups, secPackedOutOff, secPackedInOff, secPackedSets, secPackedSetDesc} {
+	for _, id := range packedSectionIDs {
 		if _, ok := uf.Section(id); ok {
-			t.Fatalf("unpacked bundle carries packed section %d", id)
+			t.Fatalf("stripped bundle carries packed section %d", id)
 		}
 	}
 	for _, info := range uf.Sections() {
@@ -214,11 +261,10 @@ func TestPrePackedBundleBackCompat(t *testing.T) {
 		}
 		ub, _ := uf.Section(info.ID)
 		if !bytes.Equal(pb, ub) {
-			t.Fatalf("shared section %d differs between packed and unpacked bundles", info.ID)
+			t.Fatalf("shared section %d differs between packed and stripped bundles", info.ID)
 		}
 	}
 
-	// The pre-packed bundle opens onto the scan path and answers identically.
 	s, err := OpenSnapshotBytes(plainData)
 	if err != nil {
 		t.Fatal(err)
@@ -227,24 +273,79 @@ func TestPrePackedBundleBackCompat(t *testing.T) {
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Index().Packed() {
-		t.Fatal("pre-packed bundle opened as packed")
+	if s.Index().packed == nil {
+		t.Fatal("pre-packed bundle did not pack on open")
 	}
 	assertEquivalent(t, g, packedIx, s.Index())
+	var buf bytes.Buffer
+	if err := s.Index().WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), packedData) {
+		t.Fatal("rewriting an opened pre-packed bundle differs from a fresh bundle")
+	}
+}
 
-	// And the packed bundle opens onto the packed path, same answers again.
-	ps, err := OpenSnapshotBytes(packedData)
+// TestGoldenPrePackedOpens pins the committed bundle of Fig. 2 at k = 2 that
+// was written before the packed form (testdata/fig2_k2_prepacked.rlcs, no
+// sections 15-20): it opens, verifies, answers every query like the online
+// traversal over its own embedded graph, and writes back byte-identically
+// to a fresh build of that graph, packed sections included.
+func TestGoldenPrePackedOpens(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "fig2_k2_prepacked.rlcs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	if err := ps.Verify(); err != nil {
+	f, err := snapshot.OpenBytes(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !ps.Index().Packed() {
-		t.Fatal("packed bundle opened without the packed form")
+	for _, id := range packedSectionIDs {
+		if _, ok := f.Section(id); ok {
+			t.Fatalf("golden pre-packed bundle carries packed section %d", id)
+		}
 	}
-	assertEquivalent(t, g, packedIx, ps.Index())
+	s, err := OpenSnapshotBytes(data)
+	if err != nil {
+		t.Fatalf("golden pre-packed bundle no longer opens: %v", err)
+	}
+	defer s.Close()
+	if err := s.Verify(); err != nil {
+		t.Fatalf("golden pre-packed bundle fails Verify: %v", err)
+	}
+	g := s.Graph()
+	ix := s.Index()
+	n := g.NumVertices()
+	for _, l := range PrimitiveConstraints(g.NumLabels(), ix.K()) {
+		for src := graph.Vertex(0); int(src) < n; src++ {
+			for dst := graph.Vertex(0); int(dst) < n; dst++ {
+				got, err := ix.Query(src, dst, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := traversal.EvalRLC(g, src, dst, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("Query(%d, %d, %v) = %v, traversal says %v", src, dst, l, got, want)
+				}
+			}
+		}
+	}
+	var got bytes.Buffer
+	if err := ix.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	_, want := bundleBytes(t, g, ix.K())
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("opened pre-packed golden writes a bundle that differs from a fresh build")
+	}
+	// stripPacked, which the other back-compat tests use to make pre-packed
+	// bundles, reproduces the golden's exact bytes.
+	if !bytes.Equal(stripPacked(t, want), data) {
+		t.Fatal("stripping the packed block from a fresh bundle differs from the pre-packed golden")
+	}
 }
 
 // TestV1LoadPacks: the v1 two-file round trip comes back packed, answering
@@ -261,7 +362,7 @@ func TestV1LoadPacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Packed() {
+	if loaded.packed == nil {
 		t.Fatal("v1 load did not derive the packed form")
 	}
 	assertEquivalent(t, g, ix, loaded)
@@ -362,50 +463,40 @@ func TestSnapshotVerifyCatchesPackedDivergence(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryPacked compares the bit-parallel packed query path against
-// the linear-scan baseline on one mid-size random graph, for single queries
-// and the batch path.
+// BenchmarkQueryPacked measures the packed query path on one mid-size
+// random graph, for single queries and the batch path.
 func BenchmarkQueryPacked(b *testing.B) {
 	r := rand.New(rand.NewSource(803))
 	g := randomGraph(r, 2000, 4, 10000)
-	packed, err := Build(g, Options{K: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	scan, err := Build(g, Options{K: 2, DisablePacked: true})
+	ix, err := Build(g, Options{K: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	qs := randomBatch(r, g, 2, 4096)
-	for _, v := range []struct {
-		name string
-		ix   *Index
-	}{{"packed", packed}, {"scan", scan}} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, q := range qs {
-					if _, err := v.ix.Query(q.S, q.T, q.L); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("query", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, q := range qs {
+				if _, err := ix.Query(q.S, q.T, q.L); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-		b.Run(v.name+"-batch-into", func(b *testing.B) {
-			b.ReportAllocs()
-			var buf []BatchResult
-			for i := 0; i < b.N; i++ {
-				buf = v.ix.QueryBatchInto(qs, 0, buf)
-			}
-		})
-	}
+		}
+	})
+	b.Run("batch-into", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []BatchResult
+		for i := 0; i < b.N; i++ {
+			buf = ix.QueryBatchInto(qs, 0, buf)
+		}
+	})
 }
 
 // FuzzPackedEquivalence is the differential fuzzer of the packed
 // representation: arbitrary bytes decode into a small graph plus a query
-// (the quickGraphSpec scheme), which is answered simultaneously by the
-// packed index, the scan index, and — to anchor both — the online
-// traversal. Any divergence fails.
+// (the quickGraphSpec scheme), which is answered by the packed probe, by the
+// entry-scan reference over the same index, and — to anchor both — by the
+// online traversal. Any divergence fails.
 func FuzzPackedEquivalence(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 3, 1, 4}, uint8(1), uint8(4), []byte{0, 1})
 	f.Add([]byte{0, 0, 1, 1, 1, 2, 2, 2, 0}, uint8(0), uint8(2), []byte{1})
@@ -416,40 +507,33 @@ func FuzzPackedEquivalence(f *testing.F) {
 		if g.NumVertices() == 0 {
 			return
 		}
-		packed, err := Build(g, Options{K: 2})
+		ix, err := Build(g, Options{K: 2})
 		if err != nil {
-			t.Fatalf("packed build: %v", err)
-		}
-		scan, err := Build(g, Options{K: 2, DisablePacked: true})
-		if err != nil {
-			t.Fatalf("scan build: %v", err)
-		}
-		if !packed.Packed() || scan.Packed() {
-			t.Fatal("representation flags wrong")
+			t.Fatalf("build: %v", err)
 		}
 		src := graph.Vertex(spec.S) % 10
 		dst := graph.Vertex(spec.T) % 10
 		q := spec.constraint()
-		pGot, pErr := packed.Query(src, dst, q)
-		sGot, sErr := scan.Query(src, dst, q)
-		if (pErr == nil) != (sErr == nil) || pGot != sGot {
-			t.Fatalf("Query(%d, %d, %v): packed (%v, %v), scan (%v, %v)", src, dst, q, pGot, pErr, sGot, sErr)
+		got, err := ix.Query(src, dst, q)
+		if err != nil {
+			t.Fatalf("Query(%d, %d, %v): %v", src, dst, q, err)
 		}
-		if pErr == nil {
-			want, terr := traversal.EvalRLC(g, src, dst, q)
-			if terr != nil {
-				t.Fatalf("EvalRLC: %v", terr)
-			}
-			if pGot != want {
-				t.Fatalf("Query(%d, %d, %v) = %v, traversal says %v", src, dst, q, pGot, want)
-			}
+		want, err := traversal.EvalRLC(g, src, dst, q)
+		if err != nil {
+			t.Fatalf("EvalRLC: %v", err)
 		}
-		// Beyond the single derived query, the two representations must agree
-		// on every interned MR for the derived pair — this is where bitset
-		// packing and hash-consing bugs actually surface.
-		for mr := 0; mr < packed.dict.Len(); mr++ {
-			if packed.queryByID(src, dst, labelseq.ID(mr)) != scan.queryByID(src, dst, labelseq.ID(mr)) {
-				t.Fatalf("queryByID(%d, %d, mr %d) diverges between packed and scan", src, dst, mr)
+		if got != want {
+			t.Fatalf("Query(%d, %d, %v) = %v, traversal says %v", src, dst, q, got, want)
+		}
+		if mr := ix.dict.Lookup(q); mr != labelseq.InvalidID && scanQuery(ix, src, dst, mr) != want {
+			t.Fatalf("entry scan (%d, %d, %v) disagrees with traversal %v", src, dst, q, want)
+		}
+		// Beyond the single derived query, the packed probe and the entry
+		// scan must agree on every interned MR for the derived pair — this
+		// is where bitset packing and hash-consing bugs actually surface.
+		for mr := labelseq.ID(0); int(mr) < ix.dict.Len(); mr++ {
+			if ix.queryByID(src, dst, mr) != scanQuery(ix, src, dst, mr) {
+				t.Fatalf("queryByID(%d, %d, mr %d) diverges between packed and entry scan", src, dst, mr)
 			}
 		}
 	})

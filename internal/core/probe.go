@@ -6,7 +6,8 @@ import (
 )
 
 // TargetProbe precomputes the target side of Query(·, t, L+) so that many
-// candidate sources can be tested with one pass over their Lout list each.
+// candidate sources can be tested with one pass over their packed Lout
+// groups each.
 // The hybrid evaluator of extended queries (Q4-style, Section VI-C) probes
 // every frontier vertex against a fixed (t, L+), which this amortizes.
 type TargetProbe struct {
@@ -14,9 +15,10 @@ type TargetProbe struct {
 	t     graph.Vertex
 	mr    labelseq.ID
 	rankT int32
-	// hubs is a bitmap over access ranks: bit h set iff (hub h, L) ∈
-	// Lin(t). Case 1 tests Lout(s) hubs against it; case 2 tests rank(s)
-	// itself (an entry (s, L) ∈ Lin(t) has hub rank(s)).
+	// hubs is a bitmap over access ranks: bit h set iff the Lin(t) group
+	// of hub h has L in its set. Case 1 tests Lout(s) hubs against it;
+	// case 2 tests rank(s) itself (an entry (s, L) ∈ Lin(t) has hub
+	// rank(s)).
 	hubs  []uint64
 	valid bool
 }
@@ -35,16 +37,25 @@ func (ix *Index) NewTargetProbe(t graph.Vertex, l labelseq.Seq) (*TargetProbe, e
 		return p, nil
 	}
 	p.valid = true
-	p.hubs = make([]uint64, (ix.g.NumVertices()+63)/64)
-	for _, e := range ix.lin(t) {
-		if e.mr == p.mr {
-			p.hubs[e.hub>>6] |= 1 << uint(e.hub&63)
-		}
-	}
+	pk := ix.packed
+	p.hubs = pk.hubBitmap(pk.groups[pk.inOff[t]:pk.inOff[t+1]], p.mr, ix.g.NumVertices())
 	return p, nil
 }
 
-// Reaches reports whether Query(s, t, L+) holds, in one pass over Lout(s).
+// hubBitmap returns a bitmap over access ranks with bit h set iff the group
+// of hub h in list carries mr.
+func (p *packed) hubBitmap(list []packedGroup, mr labelseq.ID, n int) []uint64 {
+	hubs := make([]uint64, (n+63)/64)
+	for _, g := range list {
+		if p.has(g.set, mr) {
+			hubs[g.hub>>6] |= 1 << uint(g.hub&63)
+		}
+	}
+	return hubs
+}
+
+// Reaches reports whether Query(s, t, L+) holds, in one pass over the
+// packed Lout(s) groups.
 // On a size-budgeted index a demoted endpoint's lists are truncated, so the
 // precomputed bitmap and the Lout scan would silently miss entries; those
 // probes delegate to the exact three-tier query path instead.
@@ -61,12 +72,10 @@ func (p *TargetProbe) Reaches(s graph.Vertex) bool {
 	if p.hubs[rs>>6]&(1<<uint(rs&63)) != 0 {
 		return true
 	}
-	for _, e := range p.ix.lout(s) {
-		if e.mr != p.mr {
-			continue
-		}
+	pk := p.ix.packed
+	for _, g := range pk.groups[pk.outOff[s]:pk.outOff[s+1]] {
 		// Case 2: (t, L) ∈ Lout(s); Case 1: shared hub with Lin(t).
-		if e.hub == p.rankT || p.hubs[e.hub>>6]&(1<<uint(e.hub&63)) != 0 {
+		if (g.hub == p.rankT || p.hubs[g.hub>>6]&(1<<uint(g.hub&63)) != 0) && pk.has(g.set, p.mr) {
 			return true
 		}
 	}
@@ -75,14 +84,14 @@ func (p *TargetProbe) Reaches(s graph.Vertex) bool {
 
 // SourceProbe is the mirror of TargetProbe: it precomputes the source side
 // of Query(s, ·, L+) so that many candidate targets can be tested with one
-// pass over their Lin list each.
+// pass over their packed Lin groups each.
 type SourceProbe struct {
 	ix    *Index
 	s     graph.Vertex
 	mr    labelseq.ID
 	rankS int32
-	// hubs is a bitmap over access ranks: bit h set iff (hub h, L) ∈
-	// Lout(s).
+	// hubs is a bitmap over access ranks: bit h set iff the Lout(s) group
+	// of hub h has L in its set.
 	hubs  []uint64
 	valid bool
 }
@@ -98,16 +107,13 @@ func (ix *Index) NewSourceProbe(s graph.Vertex, l labelseq.Seq) (*SourceProbe, e
 		return p, nil
 	}
 	p.valid = true
-	p.hubs = make([]uint64, (ix.g.NumVertices()+63)/64)
-	for _, e := range ix.lout(s) {
-		if e.mr == p.mr {
-			p.hubs[e.hub>>6] |= 1 << uint(e.hub&63)
-		}
-	}
+	pk := ix.packed
+	p.hubs = pk.hubBitmap(pk.groups[pk.outOff[s]:pk.outOff[s+1]], p.mr, ix.g.NumVertices())
 	return p, nil
 }
 
-// Reaches reports whether Query(s, t, L+) holds, in one pass over Lin(t).
+// Reaches reports whether Query(s, t, L+) holds, in one pass over the
+// packed Lin(t) groups.
 // Like TargetProbe.Reaches, probes touching a demoted vertex of a
 // size-budgeted index delegate to the exact three-tier query path.
 func (p *SourceProbe) Reaches(t graph.Vertex) bool {
@@ -123,12 +129,10 @@ func (p *SourceProbe) Reaches(t graph.Vertex) bool {
 	if p.hubs[rt>>6]&(1<<uint(rt&63)) != 0 {
 		return true
 	}
-	for _, e := range p.ix.lin(t) {
-		if e.mr != p.mr {
-			continue
-		}
+	pk := p.ix.packed
+	for _, g := range pk.groups[pk.inOff[t]:pk.inOff[t+1]] {
 		// Case 2: (s, L) ∈ Lin(t); Case 1: shared hub with Lout(s).
-		if e.hub == p.rankS || p.hubs[e.hub>>6]&(1<<uint(e.hub&63)) != 0 {
+		if (g.hub == p.rankS || p.hubs[g.hub>>6]&(1<<uint(g.hub&63)) != 0) && pk.has(g.set, p.mr) {
 			return true
 		}
 	}

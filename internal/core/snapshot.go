@@ -41,12 +41,12 @@ const (
 	secVertexNames = 13 // optional: count u32, then len u32 + bytes each
 	secLabelNames  = 14 // optional
 
-	// Packed bit-parallel MR-set sections (see packed.go). Optional as a
-	// block: bundles written before the packed form carry none of them and
-	// stay readable byte-for-byte; bundles written with it carry all six.
-	// OpenSnapshot prefers them when present (the mmap zero-copy path then
-	// serves bit-parallel membership directly) and falls back to the entry
-	// array otherwise.
+	// Packed bit-parallel MR-set sections (see packed.go). WriteSnapshot
+	// always writes all six; on read they are optional as a block, because
+	// bundles written before the packed form carry none of them and stay
+	// readable. OpenSnapshot adopts them when present (the mmap zero-copy
+	// path then serves bit-parallel membership directly) and otherwise
+	// packs the entry array on open.
 	secPackedMeta    = 15 // fixed 24 bytes: setCount u32, reserved u32, groupCount u64, wordCount u64
 	secPackedGroups  = 16 // packedGroup[groupCount]: (hub i32, set u32)
 	secPackedOutOff  = 17 // int32[n+1]
@@ -181,23 +181,21 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	if flags&flagLabelNames != 0 {
 		sw.Add(secLabelNames, encodeNames(g.LabelNames()))
 	}
-	if p := ix.packed; p != nil {
-		// The entry sections above stay authoritative and are always
-		// written; the packed block is the redundant accelerated form.
-		le := binary.LittleEndian
-		pm := make([]byte, packedMetaSize)
-		le.PutUint32(pm[0:], uint32(p.numSets))
-		le.PutUint64(pm[8:], uint64(len(p.groups)))
-		le.PutUint64(pm[16:], uint64(len(p.words)))
-		sw.Add(secPackedMeta, pm)
-		sw.Add(secPackedGroups, groupBytes(p.groups))
-		sw.Add(secPackedOutOff, snapshot.I32Bytes(p.outOff))
-		sw.Add(secPackedInOff, snapshot.I32Bytes(p.inOff))
-		sw.Add(secPackedSets, snapshot.U64Bytes(p.words))
-		sw.Add(secPackedSetDesc, descBytes(p.desc))
-	}
+	// The entry sections above stay authoritative; the packed block is the
+	// redundant form queries read.
+	p := ix.packed
+	le := binary.LittleEndian
+	pm := make([]byte, packedMetaSize)
+	le.PutUint32(pm[0:], uint32(p.numSets))
+	le.PutUint64(pm[8:], uint64(len(p.groups)))
+	le.PutUint64(pm[16:], uint64(len(p.words)))
+	sw.Add(secPackedMeta, pm)
+	sw.Add(secPackedGroups, groupBytes(p.groups))
+	sw.Add(secPackedOutOff, snapshot.I32Bytes(p.outOff))
+	sw.Add(secPackedInOff, snapshot.I32Bytes(p.inOff))
+	sw.Add(secPackedSets, snapshot.U64Bytes(p.words))
+	sw.Add(secPackedSetDesc, descBytes(p.desc))
 	if tr := ix.tiers; tr != nil {
-		le := binary.LittleEndian
 		tm := make([]byte, tierMetaSize)
 		le.PutUint32(tm[0:], uint32(tr.retainedRanks))
 		le.PutUint32(tm[4:], tr.bloomWords)
@@ -483,28 +481,34 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 		return nil, err
 	}
 	ix.packed = p
-	// Record the representation in the build options so BuildOptions is
-	// truthful for snapshot-opened indexes too: a fold of an unpacked
-	// bundle stays unpacked, a fold of a packed one stays packed.
-	ix.opts.DisablePacked = p == nil
+	if p == nil {
+		// A bundle written before the packed form: derive it from the entry
+		// array, as Load does for v1 files. Safe on hostile input: every
+		// hub and mr above was range-checked and every list hub-sorted.
+		if err := ix.pack(); err != nil {
+			return nil, err
+		}
+	}
 	tr, err := openTiers(f, n, meta.dictLen)
 	if err != nil {
 		return nil, err
 	}
 	if tr != nil {
 		initTierRuntime(ix, tr)
-		// Same truthfulness for the budget: a fold of a tiered bundle
-		// re-applies its MaxIndexBytes, so the budget survives epochs.
+		// Record the budget so BuildOptions is truthful for opened
+		// indexes: a fold of a tiered bundle re-applies its MaxIndexBytes,
+		// so the budget survives epochs.
 		ix.opts.MaxIndexBytes = tr.budget
 	}
 	return &Snapshot{f: f, ix: ix, g: g, meta: meta}, nil
 }
 
 // openPacked adopts the optional packed bit-parallel sections. A bundle
-// either carries the whole block or none of it: absent packed-meta means an
-// unpacked bundle (nil, queries fall back to the entry scan); a present
-// packed-meta makes the other five sections required, so a partially
-// stripped bundle surfaces as corrupt instead of silently downgrading.
+// either carries the whole block or none of it: absent packed-meta means a
+// bundle written before the packed form (nil; the caller packs the entry
+// array); a present packed-meta makes the other five sections required, so
+// a partially stripped bundle surfaces as corrupt instead of silently
+// re-deriving.
 //
 //rlc:viewowner
 func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {

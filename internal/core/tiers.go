@@ -42,7 +42,7 @@ import (
 // /stats.
 //
 // Demotion is physical: after the filters are built the demoted lists are
-// truncated from the entry CSR and the packed form is re-derived, so
+// truncated from the entry CSR, and Build packs only what remains, so
 // NumEntries, SizeBytes, serialization, and the packed==entries invariant
 // all reflect the budget automatically. The budget is a target with a
 // floor: the exact tier never exceeds it, but the filter tier always keeps
@@ -312,25 +312,21 @@ func (ix *Index) probeTiered(s, t graph.Vertex, mr labelseq.ID) tierVerdict {
 	}
 }
 
-// loutHas is exact (hub, mr) membership on a retained vertex's complete Lout
-// list, through the packed form when present.
+// loutHas is exact (hub, mr) membership on a retained vertex's complete
+// packed Lout list.
 //
 //rlc:noalloc
 func (ix *Index) loutHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
-	if p := ix.packed; p != nil {
-		return p.groupHas(p.groups[p.outOff[v]:p.outOff[v+1]], hub, mr)
-	}
-	return hasEntry(ix.lout(v), hub, mr)
+	p := ix.packed
+	return p.groupHas(p.groups[p.outOff[v]:p.outOff[v+1]], hub, mr)
 }
 
 // linHas is the Lin mirror of loutHas.
 //
 //rlc:noalloc
 func (ix *Index) linHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
-	if p := ix.packed; p != nil {
-		return p.groupHas(p.groups[p.inOff[v]:p.inOff[v+1]], hub, mr)
-	}
-	return hasEntry(ix.lin(v), hub, mr)
+	p := ix.packed
+	return p.groupHas(p.groups[p.inOff[v]:p.inOff[v+1]], hub, mr)
 }
 
 // anyOutHubMaybe enumerates the hubs carrying mr on the retained vertex s's
@@ -340,17 +336,9 @@ func (ix *Index) linHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
 //
 //rlc:noalloc
 func (ix *Index) anyOutHubMaybe(s graph.Vertex, mr labelseq.ID, block []uint64) bool {
-	tr := ix.tiers
-	if p := ix.packed; p != nil {
-		for _, g := range p.groups[p.outOff[s]:p.outOff[s+1]] {
-			if p.has(g.set, mr) && tr.bloomHas(block, uint32(g.hub), mr) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range ix.lout(s) {
-		if e.mr == mr && tr.bloomHas(block, uint32(e.hub), mr) {
+	tr, p := ix.tiers, ix.packed
+	for _, g := range p.groups[p.outOff[s]:p.outOff[s+1]] {
+		if p.has(g.set, mr) && tr.bloomHas(block, uint32(g.hub), mr) {
 			return true
 		}
 	}
@@ -361,17 +349,9 @@ func (ix *Index) anyOutHubMaybe(s graph.Vertex, mr labelseq.ID, block []uint64) 
 //
 //rlc:noalloc
 func (ix *Index) anyInHubMaybe(t graph.Vertex, mr labelseq.ID, block []uint64) bool {
-	tr := ix.tiers
-	if p := ix.packed; p != nil {
-		for _, g := range p.groups[p.inOff[t]:p.inOff[t+1]] {
-			if p.has(g.set, mr) && tr.bloomHas(block, uint32(g.hub), mr) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range ix.lin(t) {
-		if e.mr == mr && tr.bloomHas(block, uint32(e.hub), mr) {
+	tr, p := ix.tiers, ix.packed
+	for _, g := range p.groups[p.inOff[t]:p.inOff[t+1]] {
+		if p.has(g.set, mr) && tr.bloomHas(block, uint32(g.hub), mr) {
 			return true
 		}
 	}
@@ -430,9 +410,9 @@ const tierSlotBytes = 2*4 + 2*8
 // would exceed the unbudgeted index — the builder refuses to tier at all:
 // a size budget must never produce a larger index.
 //
-// Filters are then built from the (still complete) demoted lists, the
-// demoted lists are truncated from the entry CSR, and the packed form is
-// re-derived — so every representation the index serves or serializes
+// Filters are then built from the (still complete) demoted lists and the
+// demoted lists are truncated from the entry CSR; Build derives the packed
+// form afterwards — so every representation the index serves or serializes
 // reflects the budget. A budget that fits the whole index is a no-op: the
 // index stays bit-identical to an unbudgeted build.
 func (ix *Index) tier() error {
@@ -613,13 +593,6 @@ func (ix *Index) tier() error {
 	}
 	inOff[n] = int32(len(entries))
 	ix.entries, ix.outOff, ix.inOff = entries, outOff, inOff
-	if ix.packed != nil {
-		// Re-derive the packed form from the truncated entries so the
-		// packed==entries invariant (and Snapshot.Verify) keeps holding.
-		if err := ix.pack(); err != nil {
-			return err
-		}
-	}
 	initTierRuntime(ix, tr)
 	return nil
 }

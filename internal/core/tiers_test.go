@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/g-rpqs/rlc-go/internal/graph"
@@ -214,23 +215,28 @@ func TestTierDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestTierSnapshotRoundTrip covers every tier mix: all-demoted, partial, and
-// (with packing disabled too) each representation combination round-trips
-// through a bundle with identical answers, a preserved budget, and truthful
-// BuildOptions for fold inheritance.
+// (with the packed block stripped from the bundle, as in bundles written
+// before the packed form) each round-trips through a bundle with identical
+// answers, a preserved budget, and truthful BuildOptions for fold
+// inheritance.
 func TestTierSnapshotRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	g := randomGraph(r, 40, 3, 180)
 	full := mustBuild(t, g, Options{K: 2})
-	for _, disablePacked := range []bool{false, true} {
+	for _, withPacked := range []bool{true, false} {
 		for _, budget := range tierBudgets(full.SizeBytes()) {
-			name := fmt.Sprintf("packed=%v/b%d", !disablePacked, budget)
+			name := fmt.Sprintf("packed=%v/b%d", withPacked, budget)
 			t.Run(name, func(t *testing.T) {
-				ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget, DisablePacked: disablePacked})
+				ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget})
 				var buf bytes.Buffer
 				if err := ix.WriteSnapshot(&buf); err != nil {
 					t.Fatal(err)
 				}
-				s, err := OpenSnapshotBytes(buf.Bytes())
+				data := buf.Bytes()
+				if !withPacked {
+					data = stripPacked(t, data)
+				}
+				s, err := OpenSnapshotBytes(data)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -345,16 +351,15 @@ func TestTierProbesDelegate(t *testing.T) {
 }
 
 // tieredBundle builds a tiered bundle of g for corruption tests and returns
-// its bytes (scan representation keeps the mutation offsets stable and the
-// sections minimal).
-func tieredBundle(t *testing.T, g *graph.Graph, budgetDiv int64, disablePacked bool) []byte {
+// its bytes.
+func tieredBundle(t *testing.T, g *graph.Graph, budgetDiv int64) []byte {
 	t.Helper()
-	full := mustBuild(t, g, Options{K: 2, DisablePacked: disablePacked})
+	full := mustBuild(t, g, Options{K: 2})
 	budget := int64(1)
 	if budgetDiv > 0 {
 		budget = full.SizeBytes() / budgetDiv
 	}
-	ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget, DisablePacked: disablePacked})
+	ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget})
 	if !ix.Tiered() {
 		t.Fatalf("budget %d of %d not tiered", budget, full.SizeBytes())
 	}
@@ -370,7 +375,7 @@ func tieredBundle(t *testing.T, g *graph.Graph, budgetDiv int64, disablePacked b
 // rejected typed, never panic, never open.
 func TestSnapshotTierSemanticCorruption(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
-	base := tieredBundle(t, randomGraph(r, 40, 3, 180), 2, false)
+	base := tieredBundle(t, randomGraph(r, 40, 3, 180), 2)
 	cases := []struct {
 		name   string
 		mutate func(secs map[uint32][]byte)
@@ -431,12 +436,15 @@ func TestSnapshotTierSemanticCorruption(t *testing.T) {
 // TestSnapshotVerifyCatchesTierDivergence pins the semantic layer: a tier
 // block that is structurally sound (and re-checksummed clean) but stapled to
 // the entry array of an untiered build of the same graph must fail Verify —
-// the tier split and the entries would describe two different indexes.
+// the tier split and the entries would describe two different indexes. The
+// packed sections are stripped, so the open packs the transplanted entries
+// and the packed form agrees with them: the failure must be verifyTiers'
+// retention error, not a packed divergence.
 func TestSnapshotVerifyCatchesTierDivergence(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	g := randomGraph(r, 40, 3, 180)
-	tiered := tieredBundle(t, g, 2, true)
-	full := mustBuild(t, g, Options{K: 2, DisablePacked: true})
+	tiered := tieredBundle(t, g, 2)
+	full := mustBuild(t, g, Options{K: 2})
 	var fullBuf bytes.Buffer
 	if err := full.WriteSnapshot(&fullBuf); err != nil {
 		t.Fatal(err)
@@ -456,6 +464,9 @@ func TestSnapshotVerifyCatchesTierDivergence(t *testing.T) {
 			s[id] = append([]byte(nil), b...)
 		}
 		binary.LittleEndian.PutUint64(s[secMeta][32:], uint64(full.NumEntries()))
+		for _, id := range packedSectionIDs {
+			delete(s, id)
+		}
 	})
 	s, err := OpenSnapshotBytes(data)
 	if err != nil {
@@ -465,6 +476,9 @@ func TestSnapshotVerifyCatchesTierDivergence(t *testing.T) {
 	err = s.Verify()
 	if !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("Verify = %v, want typed ErrCorrupt", err)
+	}
+	if !strings.Contains(err.Error(), "tier block retains") {
+		t.Fatalf("Verify = %v, want the tier-retention error", err)
 	}
 }
 

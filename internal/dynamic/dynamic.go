@@ -129,9 +129,9 @@ func New(g *graph.Graph, ix *core.Index, opts Options) *DeltaGraph {
 	}
 	if opts.IndexOptions == (core.Options{}) {
 		// Unconfigured folds inherit the wrapped index's build options (k,
-		// packed form, size budget), so every rebuilt epoch keeps the base
-		// index's representation — in particular a size-budgeted base stays
-		// within its MaxIndexBytes across folds.
+		// size budget, pruning flags), so every rebuilt epoch is built like
+		// the base index — in particular a size-budgeted base stays within
+		// its MaxIndexBytes across folds.
 		opts.IndexOptions = ix.BuildOptions()
 	}
 	d := &DeltaGraph{opts: opts}

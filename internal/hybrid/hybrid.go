@@ -14,8 +14,12 @@ import (
 // Evaluator answers plus-segment path expressions over one graph using its
 // RLC index. Not safe for concurrent use.
 type Evaluator struct {
-	ix        *core.Index
-	ev        *traversal.Evaluator
+	ix *core.Index
+	ev *traversal.Evaluator
+	// probeEv answers the final segment by traversal when it is outside
+	// the index's class. It runs inside ev's closure callback, so it cannot
+	// be ev; created on first use.
+	probeEv   *traversal.Evaluator
 	labelFreq []int64 // lazily counted out-edge labels, for direction choice
 }
 
@@ -194,7 +198,10 @@ func (h *Evaluator) probeFor(t graph.Vertex, l labelseq.Seq) (*core.TargetProbe,
 	if err != nil {
 		return nil, nil, fmt.Errorf("hybrid: %w", err)
 	}
-	ev := traversal.NewEvaluator(h.ix.Graph())
+	if h.probeEv == nil {
+		h.probeEv = traversal.NewEvaluator(h.ix.Graph())
+	}
+	ev := h.probeEv
 	return nil, func(x graph.Vertex) (bool, error) {
 		return ev.BFS(x, t, fallbackNFA), nil
 	}, nil

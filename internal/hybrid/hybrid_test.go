@@ -1,7 +1,9 @@
 package hybrid
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/g-rpqs/rlc-go/internal/automaton"
@@ -117,5 +119,46 @@ func TestHybridErrors(t *testing.T) {
 	noPlus := automaton.Expr{Segments: []automaton.Segment{{Labels: labelseq.Seq{0}}}}
 	if _, err := h.Eval(0, 1, noPlus); err == nil {
 		t.Error("plus-less segment must fail")
+	}
+}
+
+// TestHybridFallbackSegmentReusesEvaluator pins that a final segment outside
+// the index class (three labels at k = 2) costs no per-query visited marks:
+// a warm EvalCtx of a two-segment expression allocates well under |V|·4
+// bytes, where a fresh traversal evaluator per query would allocate
+// |V|·states·4 bytes for its marks alone.
+func TestHybridFallbackSegmentReusesEvaluator(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	n := 20000
+	g := randomGraph(r, n, 3, 2*n)
+	ix, err := core.Build(g, core.Options{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(ix)
+	expr := automaton.ConcatPlus(labelseq.Seq{0}, labelseq.Seq{0, 1, 2})
+	ctx := context.Background()
+	pairs := make([][2]graph.Vertex, 16)
+	for i := range pairs {
+		pairs[i] = [2]graph.Vertex{graph.Vertex(r.Intn(n)), graph.Vertex(r.Intn(n))}
+	}
+	run := func() {
+		for _, p := range pairs {
+			if _, err := h.EvalCtx(ctx, p[0], p[1], expr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // warm every evaluator to its high-water mark
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 4
+	for i := 0; i < rounds; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := (after.TotalAlloc - before.TotalAlloc) / uint64(rounds*len(pairs))
+	if perQuery >= uint64(n)*4 {
+		t.Fatalf("warm EvalCtx allocates %d bytes per query, want < |V|·4 = %d", perQuery, n*4)
 	}
 }

@@ -196,10 +196,10 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 
 // foldInput pins the serving generation just long enough to materialize
 // base ∪ journal and read the build parameters. The fold inherits the base
-// index's build options (k, packed/unpacked, pruning flags) so a rebuilt
-// epoch answers from the same representation the base did — in particular,
-// folds of a packed base emit packed bundles. The pin is defer-scoped so a
-// panic inside FoldInput cannot strand the generation's snapshot.
+// index's build options (k, size budget, pruning flags) so a rebuilt epoch
+// is built like the base was; every fold emits a packed bundle, including
+// folds of a bundle written before the packed form. The pin is defer-scoped
+// so a panic inside FoldInput cannot strand the generation's snapshot.
 func (s *Server) foldInput() (union *graph.Graph, folded int, opts core.Options, err error) {
 	st := s.store.acquire()
 	if st == nil {

@@ -21,7 +21,8 @@ type Evaluator struct {
 	g *graph.Graph
 
 	// Epoch-stamped visited marks, indexed v*numStates+q. A slot is
-	// visited in the current query iff it holds the current stamp.
+	// visited in the current query iff it holds the current stamp. Only
+	// BiBFS uses bwdSeen, so it grows on the first BiBFS, not before.
 	stamp   uint32
 	fwdSeen []uint32
 	bwdSeen []uint32
@@ -46,19 +47,21 @@ func NewEvaluator(g *graph.Graph) *Evaluator {
 func (e *Evaluator) reset(numStates int, needBwd bool) {
 	need := e.g.NumVertices() * numStates
 	if len(e.fwdSeen) < need {
+		// Restarting the stamp would revive old backward marks, so the
+		// backward array is dropped and regrown zeroed on demand.
 		e.fwdSeen = make([]uint32, need)
-		e.bwdSeen = make([]uint32, need)
+		e.bwdSeen = nil
 		e.stamp = 0
+	}
+	if needBwd && len(e.bwdSeen) < need {
+		e.bwdSeen = make([]uint32, need) // zero never equals a live stamp
 	}
 	e.stamp++
 	if e.stamp == 0 { // wrapped: clear and restart
-		for i := range e.fwdSeen {
-			e.fwdSeen[i] = 0
-			e.bwdSeen[i] = 0
-		}
+		clear(e.fwdSeen)
+		clear(e.bwdSeen)
 		e.stamp = 1
 	}
-	_ = needBwd
 	e.LastVisited = 0
 }
 
@@ -269,19 +272,18 @@ func (e *Evaluator) closureFunc(starts []graph.Vertex, nfa *automaton.NFA, backw
 	}
 	accept := step.Accept()
 
-	reached := make(map[graph.Vertex]bool)
-	frontier := make([]node, 0, len(starts))
+	e.frontier = e.frontier[:0]
 	for _, s := range starts {
 		nd := node{s, 0}
 		if e.seen(e.fwdSeen, ns, nd) {
 			continue
 		}
 		e.mark(e.fwdSeen, ns, nd)
-		frontier = append(frontier, nd)
+		e.frontier = append(e.frontier, nd)
 	}
-	for len(frontier) > 0 {
-		var next []node
-		for _, nd := range frontier {
+	for len(e.frontier) > 0 {
+		e.next = e.next[:0]
+		for _, nd := range e.frontier {
 			var nbrs []graph.Vertex
 			var lbls []labelseq.Label
 			if backward {
@@ -298,17 +300,16 @@ func (e *Evaluator) closureFunc(starts []graph.Vertex, nfa *automaton.NFA, backw
 						continue
 					}
 					e.mark(e.fwdSeen, ns, nn)
-					if q == accept && !reached[nn.v] {
-						reached[nn.v] = true
-						if visit(nn.v) {
-							return
-						}
+					// The NFA has one accept state and (v, accept) is
+					// marked above, so each vertex is visited at most once.
+					if q == accept && visit(nn.v) {
+						return
 					}
-					next = append(next, nn)
+					e.next = append(e.next, nn)
 				}
 			}
 		}
-		frontier = next
+		e.frontier, e.next = e.next, e.frontier
 	}
 }
 

@@ -364,3 +364,100 @@ func TestBiBFSWarmAllocs(t *testing.T) {
 		t.Errorf("warm BiBFS allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestForwardSearchesSkipBackwardMarks pins that only BiBFS pays for the
+// backward visited marks: forward searches on a fresh evaluator leave
+// bwdSeen unallocated, and interleaving them with BiBFS across automata of
+// growing state counts never changes an answer or visits a vertex twice.
+func TestForwardSearchesSkipBackwardMarks(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	n := 24
+	g := randomGraph(r, n, 3, 70)
+	e := NewEvaluator(g)
+	first, err := automaton.NewPlus(labelseq.Seq{0}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.BFS(0, 1, first)
+	e.DFS(0, 1, first)
+	e.ReachableFrom(0, first)
+	if len(e.bwdSeen) != 0 {
+		t.Fatalf("forward searches allocated %d backward marks", len(e.bwdSeen))
+	}
+	for _, l := range allPrimitive(3, 3) { // state counts grow with |L|
+		nfa, err := automaton.NewPlus(l, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := graph.Vertex(0); int(s) < n; s++ {
+			seen := map[graph.Vertex]bool{}
+			e.ReachableFromManyFunc([]graph.Vertex{s}, nfa, func(v graph.Vertex) bool {
+				if seen[v] {
+					t.Fatalf("ReachableFromManyFunc(%d, %v+) visited %d twice", s, l, v)
+				}
+				seen[v] = true
+				return false
+			})
+			for d := graph.Vertex(0); int(d) < n; d++ {
+				want := bruteRLC(g, s, d, l)
+				if got := e.BFS(s, d, nfa); got != want {
+					t.Fatalf("BFS(%d,%d,%v+)=%v, brute=%v", s, d, l, got, want)
+				}
+				if got := e.BiBFS(s, d, nfa); got != want {
+					t.Fatalf("BiBFS(%d,%d,%v+)=%v, brute=%v", s, d, l, got, want)
+				}
+				if seen[d] != want {
+					t.Fatalf("ReachableFromManyFunc(%d, %v+) reports %d as %v, brute=%v", s, l, d, seen[d], want)
+				}
+			}
+		}
+	}
+}
+
+// TestResetNeverRevivesMarks pins reset's invariant directly: after every
+// reset no mark of either direction equals the new stamp, including when a
+// forward-only search regrows fwdSeen (restarting the stamp) under backward
+// marks that stay large enough for a later, smaller BiBFS, and when the
+// stamp wraps.
+func TestResetNeverRevivesMarks(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	n := 40
+	g := randomGraph(r, n, 2, 160)
+	small, err := automaton.NewPlus(labelseq.Seq{0}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := automaton.NewPlus(labelseq.Seq{0, 1, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEvaluator(g)
+	markBwd := func() { // backward marks at stamps 1.., as BiBFS leaves them
+		for i := 0; i < 8; i++ {
+			e.BiBFS(graph.Vertex(i), graph.Vertex(n-1-i), small)
+		}
+	}
+	assertFresh := func(what string) {
+		t.Helper()
+		for i := 0; i < 8; i++ {
+			e.reset(small.NumStates(), true)
+			for j, m := range e.fwdSeen {
+				if m == e.stamp {
+					t.Fatalf("%s: fwdSeen[%d] revived at stamp %d", what, j, e.stamp)
+				}
+			}
+			for j, m := range e.bwdSeen {
+				if m == e.stamp {
+					t.Fatalf("%s: bwdSeen[%d] revived at stamp %d", what, j, e.stamp)
+				}
+			}
+		}
+	}
+	markBwd()
+	e.BFS(0, 1, large) // regrows fwdSeen and restarts the stamp
+	assertFresh("after regrow")
+	e.stamp = 0
+	markBwd()
+	e.stamp = ^uint32(0) // the next reset wraps
+	assertFresh("after wrap")
+}

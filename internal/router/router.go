@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -234,9 +235,31 @@ func relay(w http.ResponseWriter, resp *http.Response, served *backend, p pin) {
 }
 
 func routerError(w http.ResponseWriter, status int, format string, args ...any) {
+	writeError(w, status, "router", fmt.Sprintf(format, args...))
+}
+
+func writeError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...), "code": "router"})
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg, "code": code})
+}
+
+// readBody buffers a request body for forwarding. A body over the servers'
+// default cap is refused here, with the 413 and body_too_large code a
+// server would answer, rather than forwarded cut short to a backend (or,
+// for a hedged batch, to two) that would only refuse it in turn.
+func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, server.DefaultMaxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large", err.Error())
+		return nil, false
+	case err != nil:
+		routerError(w, http.StatusBadRequest, "read body: %v", err)
+		return nil, false
+	}
+	return body, true
 }
 
 // attempt proxies one read to one backend. Body is nil for GETs.
@@ -338,12 +361,9 @@ func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
 // handleBatch buffers the body (it must be replayable across hedge
 // attempts) and routes like a read — batches are idempotent queries.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, server.DefaultMaxBodyBytes+1))
-	if err != nil {
-		routerError(w, http.StatusBadRequest, "read body: %v", err)
-		return
+	if body, ok := readBody(w, req); ok {
+		r.routeRead(w, req, body)
 	}
-	r.routeRead(w, req, body)
 }
 
 func (r *Router) routeRead(w http.ResponseWriter, req *http.Request, body []byte) {
@@ -370,9 +390,8 @@ func (r *Router) handleWrite(w http.ResponseWriter, req *http.Request) {
 		routerError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, server.DefaultMaxBodyBytes+1))
-	if err != nil {
-		routerError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := readBody(w, req)
+	if !ok {
 		return
 	}
 	resp, err := r.attempt(req.Context(), r.leader, req, body)

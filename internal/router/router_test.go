@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,6 +55,13 @@ func newFakeBackend(t *testing.T, role string) *fakeBackend {
 		w.Header().Set(server.HeaderEpoch, fmt.Sprint(f.epoch.Load()))
 		w.Header().Set(server.HeaderSeq, fmt.Sprint(f.seq.Load()))
 		json.NewEncoder(w).Encode(map[string]any{"reachable": true})
+	})
+	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
+		f.hits.Add(1)
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set(server.HeaderEpoch, fmt.Sprint(f.epoch.Load()))
+		w.Header().Set(server.HeaderSeq, fmt.Sprint(f.seq.Load()))
+		json.NewEncoder(w).Encode(map[string]any{"results": []any{}})
 	})
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
@@ -219,5 +227,39 @@ func TestWriteForwarding(t *testing.T) {
 	}
 	if leader.hits.Load() != 1 || f1.hits.Load() != 0 {
 		t.Fatalf("hits leader=%d follower=%d, want 1/0", leader.hits.Load(), f1.hits.Load())
+	}
+}
+
+// TestOversizeBodyRefusedAtRouter: a batch or update body over the servers'
+// cap is answered 413 body_too_large by the router itself, and no backend
+// receives it; a body at the cap is forwarded.
+func TestOversizeBodyRefusedAtRouter(t *testing.T) {
+	leader := newFakeBackend(t, "leader")
+	f1 := newFakeBackend(t, "follower")
+	_, hts := newTestRouter(t, leader, []*fakeBackend{f1}, time.Millisecond)
+
+	post := func(path string, n int) (int, string) {
+		resp, err := http.Post(hts.URL+path, "application/json", strings.NewReader(strings.Repeat(" ", n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Code string `json:"code"`
+		}
+		json.NewDecoder(resp.Body).Decode(&body)
+		return resp.StatusCode, body.Code
+	}
+	hits := func() uint64 { return leader.hits.Load() + f1.hits.Load() }
+	for _, path := range []string{"/batch", "/update"} {
+		if code, wire := post(path, server.DefaultMaxBodyBytes+1); code != http.StatusRequestEntityTooLarge || wire != "body_too_large" {
+			t.Errorf("POST %s over the cap: status %d code %q, want 413 body_too_large", path, code, wire)
+		}
+		if n := hits(); n != 0 {
+			t.Fatalf("POST %s over the cap reached a backend (%d hits)", path, n)
+		}
+	}
+	if code, _ := post("/batch", server.DefaultMaxBodyBytes); code != http.StatusOK || hits() == 0 {
+		t.Fatalf("POST /batch at the cap: status %d, %d backend hits; want it forwarded", code, hits())
 	}
 }

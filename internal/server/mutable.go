@@ -271,12 +271,23 @@ func (s *Server) finishRebuild(res *RebuildResult, start time.Time, err error) {
 // rejected with the deletions_unsupported code — the RLC index is
 // insert-only incremental.
 type updateEdgeInput struct {
-	S vertexToken `json:"s"`
-	// L reuses the token normalizer so labels, like vertices, arrive as a
-	// JSON number (1) or string ("credits").
-	L  vertexToken `json:"l"`
-	T  vertexToken `json:"t"`
-	Op string      `json:"op,omitempty"`
+	// S, L and T arrive as a JSON number (1) or string ("credits");
+	// tokenText normalizes either to the token the resolvers take.
+	S  json.RawMessage `json:"s"`
+	L  json.RawMessage `json:"l"`
+	T  json.RawMessage `json:"t"`
+	Op string          `json:"op,omitempty"`
+}
+
+// tokenText is a vertex or label token's text: a JSON string's contents,
+// or the literal bytes of any other value (35 → "35"). The request decoder
+// has already validated raw, so a string always unquotes.
+func tokenText(raw json.RawMessage) string {
+	var s string
+	if len(raw) > 0 && raw[0] == '"' && json.Unmarshal(raw, &s) == nil {
+		return s
+	}
+	return string(raw)
 }
 
 // updateRequest is the POST /update body: either one inline edge
@@ -312,7 +323,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) bool {
 	}
 	inputs := req.Edges
 	if len(inputs) == 0 {
-		if string(req.S) == "" && string(req.T) == "" && string(req.L) == "" {
+		if tokenText(req.S) == "" && tokenText(req.T) == "" && tokenText(req.L) == "" {
 			return writeError(w, http.StatusBadRequest, "empty update: provide s/l/t or a non-empty edges array")
 		}
 		inputs = []updateEdgeInput{req.updateEdgeInput}
@@ -352,15 +363,15 @@ func (st *state) resolveUpdateEdge(in updateEdgeInput) (graph.Edge, error) {
 	default:
 		return graph.Edge{}, fmt.Errorf("unknown op %q (want \"insert\")", in.Op)
 	}
-	src, err := st.vertex(string(in.S))
+	src, err := resolveVertex(st.g, tokenText(in.S))
 	if err != nil {
 		return graph.Edge{}, fmt.Errorf("s: %w", err)
 	}
-	dst, err := st.vertex(string(in.T))
+	dst, err := resolveVertex(st.g, tokenText(in.T))
 	if err != nil {
 		return graph.Edge{}, fmt.Errorf("t: %w", err)
 	}
-	lb, err := st.label(string(in.L))
+	lb, err := st.label(tokenText(in.L))
 	if err != nil {
 		return graph.Edge{}, fmt.Errorf("l: %w", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,10 +180,9 @@ type Server struct {
 	lastRebuildUS atomic.Int64
 	lastRebuildEr atomic.Pointer[string]
 
-	// batchBufs pools []core.BatchResult buffers so a steady stream of
-	// POST /batch requests goes through QueryBatchIntoCtx without
-	// allocating a result slice per request.
-	batchBufs sync.Pool
+	// batchScratch pools POST /batch working memory (*batchScratch), so a
+	// steady stream of batches allocates nothing per query.
+	batchScratch sync.Pool
 
 	mQuery   histogram
 	mBatch   histogram
@@ -488,23 +486,6 @@ func (st *state) parseExpr(text string) (automaton.Expr, error) {
 	return automaton.Plus(all), nil
 }
 
-// vertex resolves a vertex token: a numeric id first (O(1), the hot case for
-// programmatic clients), then a display-name scan. Range violations wrap
-// the same typed sentinel Index.Query uses, so HTTP clients see one stable
-// error code for them.
-func (st *state) vertex(tok string) (graph.Vertex, error) {
-	if id, err := strconv.Atoi(tok); err == nil {
-		if id < 0 || id >= st.g.NumVertices() {
-			return 0, fmt.Errorf("%w: vertex %d out of range [0, %d)", core.ErrVertexRange, id, st.g.NumVertices())
-		}
-		return graph.Vertex(id), nil
-	}
-	if v, ok := st.g.VertexByName(tok); ok {
-		return v, nil
-	}
-	return 0, fmt.Errorf("unknown vertex %q", tok)
-}
-
 // timed wraps a handler with its endpoint histogram.
 func (s *Server) timed(h *histogram, fn func(http.ResponseWriter, *http.Request) bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -535,11 +516,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) bool {
 	if sTok == "" || tTok == "" || lTok == "" {
 		return writeError(w, http.StatusBadRequest, "missing parameter: s, t, and l are all required")
 	}
-	src, err := st.vertex(sTok)
+	src, err := resolveVertex(st.g, sTok)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, fmt.Errorf("s: %w", err))
 	}
-	dst, err := st.vertex(tTok)
+	dst, err := resolveVertex(st.g, tTok)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, fmt.Errorf("t: %w", err))
 	}
@@ -565,40 +546,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) bool {
 		Cached:    cached,
 		Micros:    float64(time.Since(start).Nanoseconds()) / 1e3,
 	})
-}
-
-// batchRequest is the POST /batch body. Each query's constraint must be a
-// single L+ segment (the class Index.QueryBatch answers); s and t accept
-// numeric ids or display names.
-type batchRequest struct {
-	// Workers overrides the server's batch worker count for this request
-	// (0 = server default). QueryBatch clamps any value to the available
-	// work, so a hostile request cannot spawn unbounded goroutines.
-	Workers int               `json:"workers,omitempty"`
-	Queries []batchQueryInput `json:"queries"`
-}
-
-type batchQueryInput struct {
-	S vertexToken `json:"s"`
-	T vertexToken `json:"t"`
-	L string      `json:"l"`
-}
-
-// vertexToken accepts a vertex as a JSON number (35) or string ("A14"),
-// normalizing both to the token the vertex resolver takes.
-type vertexToken string
-
-func (v *vertexToken) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		*v = vertexToken(s)
-		return nil
-	}
-	*v = vertexToken(b)
-	return nil
 }
 
 // batchQueryResult is one slot of the POST /batch reply; Error (and its
@@ -627,32 +574,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
 	// computed at or after this point, so the floor holds for all of them.
 	replHeaders(w, st, st.seqNow())
 	s.limitBody(w, r)
-	var req batchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	sc := s.getBatchScratch()
+	defer s.putBatchScratch(sc)
+	if err := sc.readBody(r); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return writeErr(w, http.StatusRequestEntityTooLarge, err)
 		}
 		return writeError(w, http.StatusBadRequest, "decode request: %v", err)
 	}
-	if len(req.Queries) == 0 {
+	if err := sc.dec.decode(sc.body.Bytes()); err != nil {
+		return writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	}
+	queries := sc.dec.queries
+	if len(queries) == 0 {
 		return writeError(w, http.StatusBadRequest, "empty batch")
 	}
-	if len(req.Queries) > s.opts.MaxBatch {
+	if len(queries) > s.opts.MaxBatch {
 		return writeError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d queries exceeds the limit of %d", len(req.Queries), s.opts.MaxBatch)
+			"batch of %d queries exceeds the limit of %d", len(queries), s.opts.MaxBatch)
 	}
+	// A request may lower the server's batch worker count, never raise it;
+	// QueryBatch clamps any value to the available work, so a hostile
+	// request cannot spawn unbounded goroutines.
 	workers := s.opts.BatchWorkers
-	if req.Workers > 0 && (workers <= 0 || req.Workers < workers) {
-		workers = req.Workers
+	if req := sc.dec.workers; req > 0 && (workers <= 0 || req < workers) {
+		workers = req
 	}
 
 	start := time.Now()
 	resp := batchResponse{
-		Results: make([]batchQueryResult, len(req.Queries)),
-		Count:   len(req.Queries),
+		Results: sc.resultsFor(len(queries)),
+		Count:   len(queries),
 	}
 
 	// The cache version is read before the journal-emptiness check: if an
@@ -671,15 +624,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
 	// emptiness check is a valid linearization point — so read-mostly
 	// mutable servers keep the fan-out.
 	if st.delta != nil && st.delta.JournalLen() > 0 {
-		for i, in := range req.Queries {
-			src, dst, l, err := st.resolveBatchQuery(in)
+		for i, in := range queries {
+			q, err := st.resolveBatchQuery(in, sc.labels)
 			if err != nil {
-				resp.Results[i] = batchQueryResult{Error: err.Error(), Code: errorCode(err)}
+				resp.Results[i] = failedResult(err)
 				continue
 			}
-			reachable, cached, err := st.answerRLC(r.Context(), src, dst, l)
+			reachable, cached, err := st.answerRLC(r.Context(), q.S, q.T, q.L)
 			if err != nil {
-				resp.Results[i] = batchQueryResult{Error: err.Error(), Code: errorCode(err)}
+				resp.Results[i] = failedResult(err)
 				continue
 			}
 			resp.Results[i] = batchQueryResult{Reachable: reachable}
@@ -693,21 +646,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
 
 	// Resolve every query, peel off cache hits, and collect the misses
 	// into one sub-batch for the worker pool.
-	type miss struct {
-		pos int
-		key cacheKey
-	}
-	var (
-		misses  []miss
-		pending []core.BatchQuery
-	)
-	for i, in := range req.Queries {
-		src, dst, l, err := st.resolveBatchQuery(in)
+	for i, in := range queries {
+		q, err := st.resolveBatchQuery(in, sc.labels)
 		if err != nil {
-			resp.Results[i] = batchQueryResult{Error: err.Error(), Code: errorCode(err)}
+			resp.Results[i] = failedResult(err)
 			continue
 		}
-		key := st.seqKey(src, dst, l)
+		key := st.seqKey(q.S, q.T, q.L)
 		if st.cache != nil {
 			if val, ok := st.cache.get(key, ver); ok {
 				resp.Results[i] = batchQueryResult{Reachable: val}
@@ -715,20 +660,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
 				continue
 			}
 		}
-		misses = append(misses, miss{pos: i, key: key})
-		pending = append(pending, core.BatchQuery{S: src, T: dst, L: l})
+		sc.misses = append(sc.misses, batchMiss{pos: i, key: key})
+		sc.pending = append(sc.pending, q)
 	}
 
-	if len(pending) > 0 {
-		bufp, _ := s.batchBufs.Get().(*[]core.BatchResult)
-		if bufp == nil {
-			bufp = new([]core.BatchResult)
-		}
-		*bufp = st.ix.QueryBatchIntoCtx(r.Context(), pending, workers, *bufp)
-		for j, res := range *bufp {
-			m := misses[j]
+	if len(sc.pending) > 0 {
+		sc.answers = st.ix.QueryBatchIntoCtx(r.Context(), sc.pending, workers, sc.answers)
+		for j, res := range sc.answers {
+			m := sc.misses[j]
 			if res.Err != nil {
-				resp.Results[m.pos] = batchQueryResult{Error: res.Err.Error(), Code: errorCode(res.Err)}
+				resp.Results[m.pos] = failedResult(res.Err)
 				continue
 			}
 			resp.Results[m.pos] = batchQueryResult{Reachable: res.Reachable}
@@ -736,31 +677,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
 				st.cache.put(m.key, ver, res.Reachable)
 			}
 		}
-		s.batchBufs.Put(bufp)
 	}
 	resp.Micros = float64(time.Since(start).Nanoseconds()) / 1e3
 	return writeJSON(w, http.StatusOK, resp)
 }
 
-// resolveBatchQuery validates one batch input into index-level terms. The
-// constraint must parse to a single plus segment — the QueryBatch class.
-func (st *state) resolveBatchQuery(in batchQueryInput) (graph.Vertex, graph.Vertex, labelseq.Seq, error) {
-	src, err := st.vertex(string(in.S))
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("s: %w", err)
-	}
-	dst, err := st.vertex(string(in.T))
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("t: %w", err)
-	}
-	e, err := st.parseExpr(in.L)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("l: %w", err)
-	}
-	if len(e.Segments) != 1 || !e.Segments[0].Plus {
-		return 0, 0, nil, errors.New("l: batch queries need a single L+ segment; use GET /query for multi-segment expressions")
-	}
-	return src, dst, e.Segments[0].Labels, nil
+// failedResult is the response slot of a query that failed.
+func failedResult(err error) batchQueryResult {
+	return batchQueryResult{Error: err.Error(), Code: errorCode(err)}
 }
 
 // reloadResponse is the POST /reload reply.

@@ -25,7 +25,7 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/workload"
 )
 
-func buildIndex(t *testing.T, g *graph.Graph) *core.Index {
+func buildIndex(t testing.TB, g *graph.Graph) *core.Index {
 	t.Helper()
 	ix, err := core.Build(g, core.Options{K: 2})
 	if err != nil {
@@ -331,28 +331,110 @@ func normalizeMicros(t *testing.T, raw string) string {
 	return string(out)
 }
 
+// validationMaxBody is the body cap of TestBatchValidation's server.
+const validationMaxBody = 512
+
+// batchValidationCases are POST /batch bodies for the Fig. 2 server with
+// MaxBatch 2 and MaxBodyBytes validationMaxBody. For an accepted body, want
+// lists its results in order: the answer, or a failed slot's code ("" for
+// an error without one). FuzzBatchDecode seeds its corpus from them.
+func batchValidationCases() []struct {
+	name, body string
+	code       int
+	want       string
+} {
+	// sized pads a one-query body with whitespace inside the queries array
+	// to exactly n bytes, or with whitespace after the object when after.
+	sized := func(n int, after bool) string {
+		head, tail := `{"queries":[{"s":0,"t":4,"l":"l1 l2"}`, `]}`
+		pad := strings.Repeat(" ", n-len(head)-len(tail))
+		if after {
+			return head + tail + pad
+		}
+		return head + pad + tail
+	}
+	return []struct {
+		name, body string
+		code       int
+		want       string
+	}{
+		{"malformed JSON", `{"queries":`, http.StatusBadRequest, ""},
+		{"unknown field", `{"nope":1,"queries":[{"s":0,"t":1,"l":"l1"}]}`, http.StatusBadRequest, ""},
+		{"unknown query field", `{"queries":[{"s":0,"t":1,"l":"l1","x":2}]}`, http.StatusBadRequest, ""},
+		{"empty batch", `{"queries":[]}`, http.StatusBadRequest, ""},
+		{"over limit", `{"queries":[{"s":0,"t":1,"l":"l1"},{"s":0,"t":2,"l":"l1"},{"s":0,"t":3,"l":"l1"}]}`,
+			http.StatusRequestEntityTooLarge, ""},
+		{"whitespace everywhere", " \n\t{ \"queries\" :\r\n [ { \"s\" : 0 ,\n\"t\":\t4 , \"l\" : \"l1 l2\" } ,\n" +
+			"\t{\"s\":1,\"t\":0,\"l\":\"l2\"}\n] , \"workers\" : 1 }\r\n ", http.StatusOK, "true,false"},
+		{"unicode escapes in l and a name", `{"queries":[{"s":"\u0076\u0033","t":"v6","l":"\u006c1"}]}`, http.StatusOK, "true"},
+		{"numeric tokens", `{"queries":[{"s":35,"t":0,"l":"l1"},{"s":-1,"t":0,"l":"l1"}]}`,
+			http.StatusOK, "vertex_range,vertex_range"},
+		{"exponent token is looked up as a name", `{"queries":[{"s":3.5e1,"t":0,"l":"l1"}]}`, http.StatusOK, ""},
+		{"string name tokens", `{"queries":[{"s":"v3","t":"v6","l":"l1"},{"s":"v2","t":"0","l":"l2"}]}`,
+			http.StatusOK, "true,false"},
+		{"duplicate keys: the last wins", `{"workers":9,"queries":[{"s":99,"l":"l3","s":0,"t":4,"l":"l1 l2"}],"workers":1}`,
+			http.StatusOK, "true"},
+		{"duplicate queries: omitted keys keep the earlier value",
+			`{"queries":[{"s":0,"t":4,"l":"l1 l2"},{"s":1,"t":0,"l":"l2"}],"queries":[{"s":1,"t":2}]}`,
+			http.StatusOK, "false"},
+		{"ASCII case variants of keys", `{"Queries":[{"S":0,"T":4,"L":"l1 l2"}],"WORKERS":1}`, http.StatusOK, "true"},
+		{"null values", `{"workers":null,"queries":[{"s":0,"t":4,"l":"l1 l2","l":null},null]}`, http.StatusOK, "true,"},
+		{"null token is looked up as a name", `{"queries":[{"s":null,"t":4,"l":"l1"}]}`, http.StatusOK, ""},
+		{"null queries", `{"queries":[{"s":0,"t":4,"l":"l1"}],"queries":null}`, http.StatusBadRequest, ""},
+		{"null body", `null`, http.StatusBadRequest, ""},
+		{"non-integer workers", `{"workers":1.5,"queries":[{"s":0,"t":4,"l":"l1"}]}`, http.StatusBadRequest, ""},
+		{"string workers", `{"workers":"2","queries":[{"s":0,"t":4,"l":"l1"}]}`, http.StatusBadRequest, ""},
+		{"l not a string", `{"queries":[{"s":0,"t":4,"l":5}]}`, http.StatusBadRequest, ""},
+		{"queries not an array", `{"queries":{"s":0,"t":4,"l":"l1"}}`, http.StatusBadRequest, ""},
+		{"truncated body", `{"queries":[{"s":0,"t":4,"l":"l1 l2"}`, http.StatusBadRequest, ""},
+		{"truncated string", `{"queries":[{"s":0,"t":4,"l":"l1 l`, http.StatusBadRequest, ""},
+		{"trailing bytes", `{"queries":[{"s":0,"t":4,"l":"l1 l2"}]} x`, http.StatusBadRequest, ""},
+		{"non-ASCII key fold", `{"queries":[{"\u017f":0,"t":4,"l":"l1"}]}`, http.StatusBadRequest, ""},
+		{"body of exactly MaxBodyBytes", sized(validationMaxBody, false), http.StatusOK, "true"},
+		{"body of MaxBodyBytes+1", sized(validationMaxBody+1, false), http.StatusRequestEntityTooLarge, ""},
+		{"body of MaxBodyBytes+1, object closed early", sized(validationMaxBody+1, true), http.StatusRequestEntityTooLarge, ""},
+	}
+}
+
 func TestBatchValidation(t *testing.T) {
 	g := graph.Fig2()
-	_, hts := newTestServer(t, buildIndex(t, g), Options{MaxBatch: 2})
-	cases := []struct {
-		name string
-		body string
-		code int
-	}{
-		{"malformed JSON", `{"queries":`, http.StatusBadRequest},
-		{"unknown field", `{"nope":1,"queries":[{"s":0,"t":1,"l":"l1"}]}`, http.StatusBadRequest},
-		{"empty batch", `{"queries":[]}`, http.StatusBadRequest},
-		{"over limit", `{"queries":[{"s":0,"t":1,"l":"l1"},{"s":0,"t":2,"l":"l1"},{"s":0,"t":3,"l":"l1"}]}`,
-			http.StatusRequestEntityTooLarge},
-	}
-	for _, c := range cases {
+	_, hts := newTestServer(t, buildIndex(t, g), Options{MaxBatch: 2, MaxBodyBytes: validationMaxBody})
+	for _, c := range batchValidationCases() {
 		resp, err := http.Post(hts.URL+"/batch", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		raw, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: read body: %v", c.name, err)
+		}
 		if resp.StatusCode != c.code {
-			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.code)
+			t.Errorf("%s: status %d, want %d: %s", c.name, resp.StatusCode, c.code, raw)
+			continue
+		}
+		if c.code == http.StatusRequestEntityTooLarge && len(c.body) > validationMaxBody {
+			var er errorResponse
+			if err := json.Unmarshal(raw, &er); err != nil || er.Code != "body_too_large" {
+				t.Errorf("%s: %s, want code body_too_large", c.name, raw)
+			}
+		}
+		if c.code != http.StatusOK {
+			continue
+		}
+		var br batchResponse
+		if err := json.Unmarshal(raw, &br); err != nil {
+			t.Fatalf("%s: decode %s: %v", c.name, raw, err)
+		}
+		got := make([]string, len(br.Results))
+		for i, r := range br.Results {
+			got[i] = fmt.Sprint(r.Reachable)
+			if r.Error != "" {
+				got[i] = r.Code
+			}
+		}
+		if strings.Join(got, ",") != c.want {
+			t.Errorf("%s: results %q, want %q: %s", c.name, strings.Join(got, ","), c.want, raw)
 		}
 	}
 }
